@@ -17,7 +17,6 @@ from .estimation import (
     e_step,
     em_fit,
     m_step,
-    regressor_matrix,
     select_order,
 )
 from .exceptions import (
@@ -53,6 +52,7 @@ from .model import (
     component_residual,
     is_stable,
     log_likelihood,
+    regressor_matrix,
 )
 from .portfolio import (
     MarkowitzCoefficients,

@@ -133,7 +133,9 @@ def rolling_origin_crps(
     At origin t the models are fit on the sliding window ending at t (length
     ``train_length``), refit every ``refit_interval`` origins, and scored at
     horizons 1 and 2 against the returns their own portfolios realize.
-    Returns an array of shape (n_origins, len(specs), 2).
+    Returns an array of shape (n_origins, len(specs), 2). A model that fails
+    to fit or forecast at an origin scores NaN there and is refit at the next
+    origin; the sweep carries on.
     """
     n = series.n
     first_origin = n - 2 - n_origins
@@ -148,11 +150,14 @@ def rolling_origin_crps(
     for j, t in enumerate(range(first_origin, first_origin + n_origins)):
         window = SeriesMatrix(series.values[t - train_length + 1: t + 1])
         for s, spec in enumerate(specs):
-            if fitted[s] is None or j % refit_interval == 0:
-                fitted[s] = em_fit(window, spec, init=init, max_iter=max_iter, tol=tol).params
-            params = fitted[s]
-            origin = ForecastOrigin.from_series(series, spec.p, t=t)
-            (sol1, rmix1), (sol2, rmix2) = mvp_forecast_mixtures(params, origin)
-            out[j, s, 0] = crps_mixture(rmix1, float(sol1.weights @ series.values[t + 1]))
-            out[j, s, 1] = crps_mixture(rmix2, float(sol2.weights @ series.values[t + 2]))
+            try:
+                if fitted[s] is None or j % refit_interval == 0:
+                    fitted[s] = None      # stays None if the refit fails: the next origin refits
+                    fitted[s] = em_fit(window, spec, init=init, max_iter=max_iter, tol=tol).params
+                origin = ForecastOrigin.from_series(series, spec.p, t=t)
+                (sol1, rmix1), (sol2, rmix2) = mvp_forecast_mixtures(fitted[s], origin)
+                out[j, s] = (crps_mixture(rmix1, float(sol1.weights @ series.values[t + 1])),
+                             crps_mixture(rmix2, float(sol2.weights @ series.values[t + 2])))
+            except (MvarError, ValueError):
+                continue                  # this (origin, model) keeps its NaN
     return out

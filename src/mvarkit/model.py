@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 
 from .exceptions import (
     DimensionError,
@@ -115,6 +114,9 @@ class MvarParameters:
             raise DimensionError(f"theta0 must have shape ({g},{m}), got {theta0.shape}")
         if omega.shape != (g, m, m):
             raise DimensionError(f"omega must have shape ({g},{m},{m}), got {omega.shape}")
+        for name, values in (("pi", pi), ("theta0", theta0), ("theta", theta)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} has non-finite entries")
         if np.any(pi <= 0.0):
             raise ValueError(f"mixing weights must be strictly positive, got {pi}")
         if abs(pi.sum() - 1.0) > WEIGHT_SUM_TOL:
@@ -260,21 +262,46 @@ def _check_series(params: MvarParameters, series: SeriesMatrix) -> None:
         )
 
 
-def component_means(params: MvarParameters, series: SeriesMatrix) -> np.ndarray:
-    """Conditional means for every scored time and component, shape (n-p, g, m).
+def regressor_matrix(series: SeriesMatrix, order: int, max_order: int) -> np.ndarray:
+    """Stacked regressors (1, Y_{t-1}', ..., Y_{t-order}') for t = max_order..n-1.
 
-    Row ``j`` corresponds to series row ``p + j``; entry ``[j, k]`` is
-    ``theta0[k] + sum_i theta[k, i-1] @ Y_{p+j-i}``.
+    Rows align with the scored observations of a model with maximal lag
+    ``max_order``, so components of different orders share row indexing.
     """
-    _check_series(params, series)
+    if order > max_order:
+        raise DimensionError(f"order {order} exceeds max_order {max_order}")
     y = series.values
-    p = params.spec.p
-    n = series.n
-    means = np.broadcast_to(params.theta0[None, :, :], (n - p, params.spec.g, params.spec.m)).copy()
-    for i in range(1, p + 1):
-        lagged = y[p - i: n - i]                       # (n-p, m)
-        means += np.einsum("kab,tb->tka", params.theta[:, i - 1], lagged)
-    return means
+    n, m = y.shape
+    rows = n - max_order
+    x = np.empty((rows, 1 + m * order))
+    x[:, 0] = 1.0
+    for i in range(1, order + 1):
+        x[:, 1 + m * (i - 1): 1 + m * i] = y[max_order - i: n - i]
+    return x
+
+
+def stacked_coefficients(params: MvarParameters) -> np.ndarray:
+    """Coefficients B_k = (theta0_k; theta_k1'; ...; theta_kp'), shape (g, 1 + m*p, m).
+
+    The conditional mean of component ``k`` at time t is ``x_t' B_k`` for the
+    row ``x_t`` of ``regressor_matrix(series, p, p)``; lags beyond a
+    component's order are zero rows.
+    """
+    g, m, p = params.spec.g, params.spec.m, params.spec.p
+    lags = params.theta.transpose(0, 1, 3, 2).reshape(g, p * m, m)
+    return np.concatenate([params.theta0[:, None, :], lags], axis=1)
+
+
+def stacked_residuals(coef: np.ndarray, xt: np.ndarray, yt: np.ndarray) -> np.ndarray:
+    """Residuals ``Y_t - B' x_t`` for stacked coefficients ``coef`` of shape (..., d, m).
+
+    ``xt`` (d, N) holds the regressor rows as columns and ``yt`` (m, N) the
+    scored observations. Returns shape (..., m, N); every coefficient block
+    goes through one matrix product.
+    """
+    *lead, d, m = coef.shape
+    fitted = np.ascontiguousarray(coef.swapaxes(-1, -2)).reshape(-1, d) @ xt
+    return np.subtract(yt, fitted.reshape(*lead, m, -1))
 
 
 def component_residual(params: MvarParameters, series: SeriesMatrix, t: int, k: int) -> np.ndarray:
@@ -299,30 +326,54 @@ def component_residual(params: MvarParameters, series: SeriesMatrix, t: int, k: 
     return y[t] - mean
 
 
+def gaussian_log_densities(resid: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Zero-mean Gaussian log densities of residual columns.
+
+    ``resid`` has shape ``(..., m, n)`` (one column per observation) and
+    ``chol`` holds the matching lower Cholesky factors, shape ``(..., m, m)``;
+    leading axes broadcast. Returns shape ``(..., n)``.
+    """
+    m = chol.shape[-1]
+    half = np.linalg.inv(chol) @ resid
+    # overflow to +inf is fine: it surfaces as a -inf log density, which the
+    # E-step reports as a DensityUnderflowError naming the observation
+    with np.errstate(over="ignore"):
+        quad = np.einsum("...in,...in->...n", half, half)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return -0.5 * (m * LOG_2PI + log_det[..., None] + quad)
+
+
 def component_log_densities(params: MvarParameters, series: SeriesMatrix) -> np.ndarray:
     """Per-component Gaussian log densities at every scored time, shape (n-p, g)."""
-    means = component_means(params, series)
-    y_scored = series.values[params.spec.p:]
-    g, m = params.spec.g, params.spec.m
-    out = np.empty((y_scored.shape[0], g))
-    chol = params.cholesky_factors()
-    for k in range(g):
-        resid = y_scored - means[:, k, :]
-        half = scipy.linalg.solve_triangular(chol[k], resid.T, lower=True)
-        # overflow to +inf is fine: it surfaces as a -inf log density, which the
-        # E-step reports as a DensityUnderflowError naming the observation
-        with np.errstate(over="ignore"):
-            quad = np.sum(half * half, axis=0)
-        log_det = 2.0 * np.sum(np.log(np.diag(chol[k])))
-        out[:, k] = -0.5 * (m * LOG_2PI + log_det + quad)
-    return out
+    _check_series(params, series)
+    p = params.spec.p
+    xt = np.ascontiguousarray(regressor_matrix(series, p, p).T)
+    yt = np.ascontiguousarray(series.values[p:].T)
+    resid = stacked_residuals(stacked_coefficients(params), xt, yt)
+    return gaussian_log_densities(resid, params.cholesky_factors()).T
+
+
+def log_normalise(log_joint: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp and normalised probabilities along ``axis`` in one max/exp/sum pass.
+
+    Returns ``(log_norm, probs)``: ``log_norm`` drops ``axis``; ``probs`` has
+    the shape of ``log_joint`` and sums to 1 along ``axis``. Where every entry
+    along ``axis`` is ``-inf`` (all components underflowed), ``log_norm`` is
+    non-finite and ``probs`` is NaN.
+    """
+    row_max = np.max(log_joint, axis=axis, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        probs = log_joint - row_max
+    np.exp(probs, out=probs)
+    total = np.sum(probs, axis=axis, keepdims=True)
+    probs /= total
+    return np.squeeze(row_max + np.log(total), axis=axis), probs
 
 
 def log_likelihood(params: MvarParameters, series: SeriesMatrix) -> float:
     """Conditional log-likelihood; the first ``p`` observations are conditioned on, never scored."""
-    log_dens = component_log_densities(params, series)
-    joint = log_dens + np.log(params.pi)[None, :]
-    row = scipy.special.logsumexp(joint, axis=1)
+    joint = component_log_densities(params, series) + np.log(params.pi)[None, :]
+    row, _ = log_normalise(joint, axis=1)
     total = float(np.sum(row))
     if not np.isfinite(total):
         bad = int(np.flatnonzero(~np.isfinite(row))[0]) + params.spec.p

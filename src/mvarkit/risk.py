@@ -79,6 +79,20 @@ def mixture_pdf(mix: MixtureNormal1D, x):
     return out if out.ndim else float(out)
 
 
+def _step_until(accept, x: float, step: float, what: str) -> float:
+    """Move ``x`` by ``step``, doubling the step each time, until ``accept(x)``.
+
+    Gives up after 80 moves (a step of 2**80 times the first) with
+    :class:`BracketError`, which also covers steps too small to change ``x``.
+    """
+    for _ in range(80):
+        if accept(x):
+            return x
+        x += step
+        step *= 2.0
+    raise BracketError(what)
+
+
 def mixture_quantile(mix: MixtureNormal1D, q: float) -> float:
     """Inverse CDF by bracketed root finding; |cdf(x) - q| < 1e-10 at the result.
 
@@ -89,32 +103,19 @@ def mixture_quantile(mix: MixtureNormal1D, q: float) -> float:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
     lo = float(np.min(mix.means - 10.0 * mix.sds))
     hi = float(np.max(mix.means + 10.0 * mix.sds))
-    span = hi - lo
-    for _ in range(80):
-        if mixture_cdf(mix, lo) < q:
-            break
-        lo -= span
-        span *= 2.0
-    else:
-        raise BracketError(f"could not bracket quantile {q} from below")
-    span = hi - lo
-    for _ in range(80):
-        if mixture_cdf(mix, hi) > q:
-            break
-        hi += span
-        span *= 2.0
-    else:
-        raise BracketError(f"could not bracket quantile {q} from above")
+    lo = _step_until(lambda v: mixture_cdf(mix, v) < q, lo, -(hi - lo),
+                     f"could not bracket quantile {q} from below")
+    hi = _step_until(lambda v: mixture_cdf(mix, v) > q, hi, hi - lo,
+                     f"could not bracket quantile {q} from above")
     x = float(scipy.optimize.brentq(lambda v: mixture_cdf(mix, v) - q, lo, hi,
                                     xtol=1e-13, rtol=8.9e-16, maxiter=200))
     # brentq terminates on x-tolerance; polish by bisection if the CDF residual
     # is still above the contract (possible only for nearly flat regions).
     if abs(mixture_cdf(mix, x) - q) > QUANTILE_CDF_TOL:
-        a, b = x - 1e-6, x + 1e-6
-        while mixture_cdf(mix, a) > q:
-            a -= 1e-6
-        while mixture_cdf(mix, b) < q:
-            b += 1e-6
+        a = _step_until(lambda v: mixture_cdf(mix, v) <= q, x - 1e-6, -1e-6,
+                        f"quantile refinement could not step below q={q}")
+        b = _step_until(lambda v: mixture_cdf(mix, v) >= q, x + 1e-6, 1e-6,
+                        f"quantile refinement could not step above q={q}")
         for _ in range(200):
             mid = 0.5 * (a + b)
             if mixture_cdf(mix, mid) < q:

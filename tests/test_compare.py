@@ -91,3 +91,18 @@ def test_rolling_origin_needs_enough_data(series):
     with pytest.raises(ValueError, match="too short"):
         rolling_origin_crps(series, [ModelSpec(1, 3, (1,))], n_origins=200,
                             train_length=200)
+
+
+def test_rolling_sweep_records_nan_for_a_failed_refit():
+    # one training window is constant, so the Gaussian fit collapses there only
+    train, n_origins = 30, 5
+    values = np.random.default_rng(71).normal(size=(train + n_origins + 2, 1))
+    bad_origin = 2
+    t_bad = values.shape[0] - 2 - n_origins + bad_origin
+    values[t_bad - train + 1: t_bad + 1] = 0.25
+    out = rolling_origin_crps(SeriesMatrix(values), [ModelSpec(1, 1, (0,))],
+                              n_origins=n_origins, train_length=train,
+                              init=InitStrategy(n_starts=1, seed=0))
+    assert np.all(np.isnan(out[bad_origin]))
+    others = np.delete(out, bad_origin, axis=0)
+    assert np.all(np.isfinite(others)) and np.all(others >= 0.0)

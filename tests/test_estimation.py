@@ -6,6 +6,7 @@ from mvarkit import (
     DensityUnderflowError,
     InitStrategy,
     ModelSpec,
+    MvarError,
     MvarParameters,
     Responsibilities,
     SeriesMatrix,
@@ -19,7 +20,7 @@ from mvarkit import (
     select_order,
     simulate,
 )
-from mvarkit.estimation import _canonicalize
+from mvarkit.estimation import _canonicalize, _Design, _lockstep_em
 from conftest import make_ref_params, random_stable_params
 from oracles import naive_responsibilities, wls_explicit
 
@@ -230,6 +231,101 @@ class TestEmFit:
     def test_free_parameter_count_with_mixed_orders(self):
         # g=3, m=4, orders (3,2,1): 2 + 3*4 + 16*(3+2+1) + 3*10 = 140
         assert ModelSpec(3, 4, (3, 2, 1)).n_free_parameters == 140
+
+
+def dirichlet_starts(spec, n_scored, seed, n_starts):
+    """Initial responsibilities (S, g, N) of em_fit's starts: one Dirichlet(1) draw per stream."""
+    return np.stack([np.random.default_rng(ss).dirichlet(np.ones(spec.g), size=n_scored).T
+                     for ss in np.random.SeedSequence(seed).spawn(n_starts)])
+
+
+def plain_em_best(series, spec, seed, n_starts, max_iter=500, tol=1e-8):
+    """Best final log-likelihood of one-start-at-a-time EM through the public steps."""
+    best = -np.inf
+    for tau0 in dirichlet_starts(spec, series.n - spec.p, seed, n_starts):
+        try:
+            params = m_step(series, Responsibilities(tau0.T), spec)
+            trace = [log_likelihood(params, series)]
+            for _ in range(max_iter):
+                params = m_step(series, e_step(params, series), spec)
+                trace.append(log_likelihood(params, series))
+                if abs(trace[-1] - trace[-2]) < tol:
+                    break
+        except (MvarError, ValueError):
+            continue
+        best = max(best, trace[-1])
+    return best
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("case", ["mvar_2_11_m3", "mvar_3_210_m2", "var_1_m3"])
+    def test_matches_public_step_loops(self, case, ref_params, ref_data):
+        if case == "mvar_2_11_m3":
+            series, spec = ref_data, ref_params.spec
+        elif case == "mvar_3_210_m2":
+            gen = random_stable_params(np.random.default_rng(12), g=2, m=2, p=2)
+            series = simulate(SimulationConfig(params=gen, n=400, seed=13)).series
+            spec = ModelSpec(3, 2, (2, 1, 0))
+        else:
+            series, spec = ref_data, ModelSpec(1, 3, (1,))
+        n_starts = 4 if spec.g > 1 else 1
+        report = em_fit(series, spec, InitStrategy(n_starts=n_starts, seed=9))
+        assert report.loglik == pytest.approx(plain_em_best(series, spec, 9, n_starts),
+                                              abs=1e-9, rel=0)
+
+    def test_start_does_not_depend_on_batch_mates(self, ref_params, ref_data):
+        spec = ref_params.spec
+        design = _Design(ref_data, spec)
+        tau0 = dirichlet_starts(spec, ref_data.n - spec.p, 4, 5)
+        together = _lockstep_em(design, tau0, 500, 1e-8)
+        pairs = _lockstep_em(design, tau0[[3, 1]], 500, 1e-8)
+        for j in range(5):
+            alone = _lockstep_em(design, tau0[j:j + 1], 500, 1e-8)[0]
+            assert alone.trace == together[j].trace
+            for field in ("pi", "coef", "omega", "tau"):
+                assert np.array_equal(getattr(alone, field), getattr(together[j], field))
+        assert pairs[0].trace == together[3].trace and pairs[1].trace == together[1].trace
+
+    def test_failing_starts_leave_the_batch(self, ref_params, ref_data):
+        spec = ref_params.spec
+        design = _Design(ref_data, spec)
+        tau0 = dirichlet_starts(spec, ref_data.n - spec.p, 6, 4)
+        tau0[1] = [[1.0], [0.0]]              # component 1 has no weight: singular
+        tau0[2, :, :] = 0.0                   # component 0 fits its 4 rows exactly: collapses
+        tau0[2, 0, :4], tau0[2, 1, 4:] = 1.0, 1.0
+        outcomes = _lockstep_em(design, tau0, 500, 1e-8)
+        assert isinstance(outcomes[1].error, SingularComponentError)
+        assert outcomes[1].error.component == 1 and outcomes[1].trace == []
+        assert isinstance(outcomes[2].error, ComponentCollapseError)
+        assert outcomes[2].error.component == 0
+        for j in (0, 3):
+            assert outcomes[j].error is None and outcomes[j].converged
+            assert outcomes[j].trace == _lockstep_em(design, tau0[j:j + 1], 500, 1e-8)[0].trace
+
+    def test_fit_survives_collapsing_starts(self):
+        # 25 identical values among 200 normal draws: some starts collapse onto the tie
+        y = np.concatenate([np.random.default_rng(0).normal(size=200), np.full(25, 2.0)])
+        series, spec = SeriesMatrix(y[:, None]), ModelSpec(2, 1, (0, 0))
+        outcomes = _lockstep_em(_Design(series, spec), dirichlet_starts(spec, series.n, 0, 6),
+                                500, 1e-8)
+        failed = [isinstance(o.error, ComponentCollapseError) for o in outcomes]
+        assert any(failed) and not all(failed)
+        report = em_fit(series, spec, InitStrategy(n_starts=6, seed=0))
+        assert report.loglik == max(o.trace[-1] for o in outcomes if o.error is None)
+
+    @pytest.mark.parametrize("value, orders, error", [
+        (0.0, (1, 1), SingularComponentError),     # regressors (1, 0): singular normal equations
+        (2.0, (0, 0), ComponentCollapseError),     # zero residual variance
+    ])
+    def test_every_start_failing_raises_the_last_error(self, value, orders, error):
+        series = SeriesMatrix(np.full((60, 1), value))
+        spec = ModelSpec(2, 1, orders)
+        with pytest.raises(error) as raised:
+            em_fit(series, spec, InitStrategy(n_starts=3, seed=0))
+        outcomes = _lockstep_em(_Design(series, spec),
+                                dirichlet_starts(spec, series.n - spec.p, 0, 3), 500, 1e-8)
+        assert all(isinstance(o.error, error) for o in outcomes)
+        assert str(raised.value) == str(outcomes[-1].error)
 
 
 class TestSelectOrder:

@@ -108,6 +108,16 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="version"):
             mio.load_model(path)
 
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        mio.save_model(path, mio.ModelFile(params=make_ref_params(), provenance={}))
+        doc = json.loads(path.read_text())
+        doc["parameters"]["theta"][1][0][2][0] = float("nan")
+        path.write_text(json.dumps(doc))            # Python's json writes and reads NaN
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="theta has non-finite"):
+            mio.load_model(path)
+
     def test_invalid_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format_version": 1, "spec": {"g": 1}}))

@@ -45,6 +45,16 @@ class TestValidation:
             MvarParameters(spec=spec, pi=[1.0, 0.0], theta0=[[0.0], [0.0]],
                            theta=np.zeros((2, 0, 1, 1)), omega=np.ones((2, 1, 1)))
 
+    @pytest.mark.parametrize("field", ["pi", "theta0", "theta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        spec = ModelSpec(2, 1, (1, 1))
+        fields = dict(pi=np.array([0.5, 0.5]), theta0=np.zeros((2, 1)),
+                      theta=np.full((2, 1, 1, 1), 0.2), omega=np.ones((2, 1, 1)))
+        fields[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"{field} has non-finite"):
+            MvarParameters(spec=spec, **fields)
+
     def test_omega_must_be_spd(self):
         spec = ModelSpec(1, 2, (0,))
         with pytest.raises(NotPositiveDefiniteError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvarkit import (
+    BracketError,
     MixtureNormal1D,
     RiskReport,
     crps_mixture,
@@ -72,6 +73,21 @@ class TestQuantile:
         q = q_pct / 100.0
         x = mixture_quantile(mix, q)
         assert abs(mixture_cdf(mix, x) - q) < 1e-9
+
+    def test_near_flat_region_meets_cdf_contract(self):
+        # the CDF sits within 1e-10 of 1/2 from about 6e-9 to 5e7
+        mix = MixtureNormal1D(weights=[0.5, 0.5], means=[0.0, 1e8], sds=[1e-9, 1.0],
+                              horizon=1, origin_time=0)
+        for q in (0.5 - 1e-11, 0.5, 0.5 + 1e-11):
+            x = mixture_quantile(mix, q)
+            assert abs(mixture_cdf(mix, x) - q) <= 1e-10
+
+    def test_refinement_steps_are_bounded(self):
+        # near 1e40 neighbouring floats are 2e24 apart: 1e-6 steps never move x,
+        # and one float step moves the CDF by far more than 1e-10
+        mix = MixtureNormal1D(weights=[1.0], means=[1e40], sds=[1e30], horizon=1, origin_time=0)
+        with pytest.raises(BracketError, match="refinement"):
+            mixture_quantile(mix, 0.3)
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ValueError):

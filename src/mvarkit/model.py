@@ -232,6 +232,8 @@ class ForecastOrigin:
         history = np.array(self.history, dtype=float)
         if history.ndim != 2:
             raise DimensionError(f"history must be 2-d (p, m), got shape {history.shape}")
+        if not np.all(np.isfinite(history)):
+            raise ValueError("history has non-finite entries")
         history.setflags(write=False)
         object.__setattr__(self, "history", history)
 

@@ -6,6 +6,15 @@ worse than 2.2 occurs with probability 5%. Expected shortfall is the exact
 conditional mean below that threshold (closed-form Gaussian partial
 expectations, no simulation). The standard normal CDF is scipy's erf-based
 ``ndtr`` (relative error below 1e-15), shared by every routine here.
+
+Quantiles are left-continuous at the contract's resolution: where the mixture
+CDF stays within ``QUANTILE_CDF_TOL`` of the level q over a stretch at least as
+long as the widest component's sd, :func:`mixture_quantile` returns the
+stretch's left end, the smallest x whose CDF is within the tolerance of q.
+Between well separated components the computed CDF is flat, and any point of
+the gap would meet the tolerance; the left end is the lowest of them, the
+usual ``inf {x : F(x) >= q}`` up to that tolerance. For q at or below the
+tolerance the stretch has no left end and the root is returned as found.
 """
 
 from __future__ import annotations
@@ -93,11 +102,23 @@ def _step_until(accept, x: float, step: float, what: str) -> float:
     raise BracketError(what)
 
 
+def _bisect(below, a: float, b: float) -> tuple[float, float]:
+    """Halve ``[a, b]`` 200 times, keeping ``below(a)`` true and ``below(b)`` false."""
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if below(mid):
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
 def mixture_quantile(mix: MixtureNormal1D, q: float) -> float:
-    """Inverse CDF by bracketed root finding; |cdf(x) - q| < 1e-10 at the result.
+    """Inverse CDF by bracketed root finding; |cdf(x) - q| <= 1e-10 at the result.
 
     The initial bracket spans every component's mean +/- 10 sd and is widened
-    adaptively; :class:`BracketError` is raised if widening fails.
+    adaptively; :class:`BracketError` is raised if widening fails. On a flat
+    stretch of the CDF the stretch's left end is returned (module docstring).
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
@@ -116,15 +137,19 @@ def mixture_quantile(mix: MixtureNormal1D, q: float) -> float:
                         f"quantile refinement could not step below q={q}")
         b = _step_until(lambda v: mixture_cdf(mix, v) >= q, x + 1e-6, 1e-6,
                         f"quantile refinement could not step above q={q}")
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if mixture_cdf(mix, mid) < q:
-                a = mid
-            else:
-                b = mid
+        a, b = _bisect(lambda v: mixture_cdf(mix, v) < q, a, b)
         x = 0.5 * (a + b)
         if abs(mixture_cdf(mix, x) - q) > QUANTILE_CDF_TOL:
             raise BracketError(f"quantile refinement failed at q={q}")
+
+    def left_of_band(v):
+        return q - mixture_cdf(mix, v) > QUANTILE_CDF_TOL
+
+    probe = x - float(np.max(mix.sds))
+    if q > QUANTILE_CDF_TOL and not left_of_band(probe):
+        lo = _step_until(left_of_band, lo, -(hi - lo),
+                         f"could not bracket the flat stretch at q={q} from below")
+        _, x = _bisect(left_of_band, lo, probe)
     return x
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError
-from .model import MvarParameters, SeriesMatrix
+from .model import MvarParameters, SeriesMatrix, stacked_coefficients
 
 #: numpy's default bit generator; per-start/per-chunk substreams are spawned
 #: from a SeedSequence, which is the documented splittable-stream mechanism.
@@ -43,6 +43,8 @@ class SimulationConfig:
                 raise DimensionError(
                     f"initial must have shape ({p},{m}), got {init.shape}"
                 )
+            if not np.all(np.isfinite(init)):
+                raise ValueError("initial has non-finite entries")
             init.setflags(write=False)
             object.__setattr__(self, "initial", init)
 
@@ -96,33 +98,52 @@ def simulate_forward(
 ) -> np.ndarray:
     """Vectorized forward simulation from a fixed history, no burn-in.
 
-    ``history`` is (p, m), oldest first. Returns all simulated steps with
-    shape (n_paths, horizon, m). Used by Monte Carlo forecasting.
+    ``history`` is (p, m), oldest first, and must be finite. Returns all
+    simulated steps with shape (n_paths, horizon, m). Used by Monte Carlo
+    forecasting.
+
+    Each step is one matrix product. The regressor rows
+    ``x = (1, Y_{t-1}', ..., Y_{t-p}', eps')`` of all paths multiply the block
+    matrix ``W = [W_1 ... W_g]`` whose column block ``W_k`` is the stacked
+    coefficients ``B_k`` of :func:`~mvarkit.model.stacked_coefficients` over
+    ``chol_k'``, so ``x' W_k`` is component ``k``'s draw; each path keeps the
+    block of its own label. The draw order is fixed: per step,
+    ``rng.choice(g, n_paths, p=pi)`` for the labels, then
+    ``rng.standard_normal((n_paths, m))`` for the innovations. The result is a
+    transposed view of a step-major (horizon, n_paths, m) array, so
+    ``paths[:, -1, :]`` is one contiguous block.
     """
     spec = params.spec
     g, m, p = spec.g, spec.m, spec.p
     history = np.asarray(history, dtype=float)
     if history.shape != (p, m):
         raise DimensionError(f"history must have shape ({p},{m}), got {history.shape}")
+    if not np.all(np.isfinite(history)):
+        raise ValueError("history has non-finite entries")
     if horizon < 1 or n_paths < 1:
         raise ValueError("horizon and n_paths must be >= 1")
-    chol = params.cholesky_factors()
-    state = np.broadcast_to(history, (n_paths, p, m)).copy()
-    out = np.empty((n_paths, horizon, m))
+    d = 1 + m * p
+    blocks = np.concatenate(
+        [stacked_coefficients(params), params.cholesky_factors().transpose(0, 2, 1)], axis=1
+    )
+    w = np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(d + m, g * m)
+    x = np.empty((n_paths, d + m))
+    x[:, 0] = 1.0
+    x[:, 1:d] = history[::-1].reshape(-1)
+    eps = np.empty((n_paths, m))
+    cand = np.empty((n_paths, g * m))
+    # row i*g + k of rows_of_cand is path i's draw from component k
+    rows_of_cand = cand.reshape(-1, m)
+    offsets = g * np.arange(n_paths)
+    out = np.empty((horizon, n_paths, m))
     for step in range(horizon):
-        labels = rng.choice(g, size=n_paths, p=params.pi)
-        eps = rng.standard_normal((n_paths, m))
-        y = np.empty((n_paths, m))
-        for k in range(g):
-            idx = labels == k
-            if not np.any(idx):
-                continue
-            mean = np.broadcast_to(params.theta0[k], (int(idx.sum()), m)).copy()
-            for i in range(1, spec.orders[k] + 1):
-                mean += state[idx, p - i] @ params.theta[k, i - 1].T
-            y[idx] = mean + eps[idx] @ chol[k].T
-        if p > 0:
-            state[:, :-1] = state[:, 1:]
-            state[:, -1] = y
-        out[:, step] = y
-    return out
+        rows = rng.choice(g, size=n_paths, p=params.pi)
+        rng.standard_normal(out=eps)
+        x[:, d:] = eps
+        np.matmul(x, w, out=cand)
+        rows += offsets
+        np.take(rows_of_cand, rows, axis=0, out=out[step], mode="clip")
+        if p > 0:   # the new draw becomes lag 1, the oldest lag drops out
+            x[:, 1 + m:d] = x[:, 1:d - m]
+            x[:, 1:1 + m] = out[step]
+    return out.transpose(1, 0, 2)

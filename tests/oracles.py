@@ -132,6 +132,77 @@ def es_quadrature(weights, means, sds, alpha):
     return partial / tail
 
 
+def simulate_forward_loop(pi, theta0, theta, omega, history, horizon, n_paths, rng):
+    """Forward paths (n_paths, horizon, m) from ``history`` (p, m, oldest first), one path at a time.
+
+    Each step draws every path's label with ``rng.choice`` and then an
+    (n_paths, m) block of standard normals; path j applies its component's
+    recursion to its own past with a ``np.linalg.cholesky`` factor of omega.
+    """
+    pi = np.asarray(pi, dtype=float)
+    theta0 = np.asarray(theta0, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    g, p, m = theta.shape[0], theta.shape[1], theta0.shape[1]
+    chol = [np.linalg.cholesky(np.asarray(omega[k], dtype=float)) for k in range(g)]
+    history = np.asarray(history, dtype=float).reshape(p, m)
+    out = np.empty((n_paths, horizon, m))
+    for step in range(horizon):
+        labels = rng.choice(g, size=n_paths, p=pi)
+        eps = rng.standard_normal((n_paths, m))
+        for j in range(n_paths):
+            past = np.vstack([history, out[j, :step]])
+            k = labels[j]
+            y = theta0[k] + chol[k] @ eps[j]
+            for i in range(1, p + 1):
+                y = y + theta[k, i - 1] @ past[-i]
+            out[j, step] = y
+    return out
+
+
+def companion_moments(pi, theta0, theta, omega, history, horizon):
+    """Mean (m,) and covariance (m, m) of Y_{t+horizon} given ``history`` (p, m, oldest first).
+
+    The state s = (Y_{t-q+1}', ..., Y_t')' with q = max(p, 1), oldest block
+    first, moves as s <- F_k s + G (theta0[k] + e) with e ~ N(0, omega[k]) and
+    label k drawn with probability pi[k]: F_k shifts the blocks up and writes
+    the component's recursion into the last block row, G = (0, ..., 0, I)'.
+    The first two moments of s follow exactly, step by step.
+    """
+    pi = np.asarray(pi, dtype=float)
+    theta0 = np.asarray(theta0, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    g, p, m = theta.shape[0], theta.shape[1], theta0.shape[1]
+    q = max(p, 1)
+    d = q * m
+    shift = np.zeros((d, d))
+    for b in range(q - 1):
+        shift[b * m:(b + 1) * m, (b + 1) * m:(b + 2) * m] = np.eye(m)
+    big_f = []
+    for k in range(g):
+        f = shift.copy()
+        for i in range(1, p + 1):
+            f[d - m:, d - i * m:d - (i - 1) * m] = theta[k, i - 1]
+        big_f.append(f)
+    lift = np.zeros((d, m))
+    lift[d - m:] = np.eye(m)
+    mean = np.zeros(d)
+    mean[d - p * m:] = np.asarray(history, dtype=float).reshape(-1)
+    second = np.outer(mean, mean)
+    for _ in range(horizon):
+        new_mean = np.zeros(d)
+        new_second = np.zeros((d, d))
+        for k in range(g):
+            f, c = big_f[k], lift @ theta0[k]
+            fm = f @ mean
+            new_mean += pi[k] * (fm + c)
+            new_second += pi[k] * (f @ second @ f.T + np.outer(fm, c) + np.outer(c, fm)
+                                   + lift @ (np.outer(theta0[k], theta0[k]) + omega[k]) @ lift.T)
+        mean, second = new_mean, new_second
+    cov = second[d - m:, d - m:] - np.outer(mean[d - m:], mean[d - m:])
+    return mean[d - m:], 0.5 * (cov + cov.T)
+
+
 def markowitz_explicit(mean, cov):
     """Frontier scalars and weights with an explicit matrix inverse."""
     inv = np.linalg.inv(cov)

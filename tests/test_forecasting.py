@@ -13,6 +13,7 @@ from mvarkit import (
     predictive_two_step,
 )
 from conftest import draw_mixture_mv, make_est_params, make_ref_params, random_stable_params
+from oracles import companion_moments
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,17 @@ class TestMonteCarloForecast:
         draws, emp = predictive_h_step_mc(ref_params, origin, 1, 1_000_000, seed=19)
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(emp.mean - mom.mean) < 3 * se)
+
+    def test_h6_moments_match_companion_recursion(self, ref_params, origin):
+        mean, cov = companion_moments(ref_params.pi, ref_params.theta0, ref_params.theta,
+                                      ref_params.omega, origin.history, 6)
+        draws, emp = predictive_h_step_mc(ref_params, origin, 6, 200_000, seed=23)
+        se_mean = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        assert np.all(np.abs(emp.mean - mean) < 4 * se_mean)
+        centered = draws - emp.mean
+        fourth = (centered[:, :, None] ** 2 * centered[:, None, :] ** 2).mean(axis=0)
+        se_cov = np.sqrt((fourth - emp.cov ** 2) / len(draws))
+        assert np.all(np.abs(emp.cov - cov) < 4 * se_cov)
 
     def test_deterministic_given_seed(self, ref_params, origin):
         a, _ = predictive_h_step_mc(ref_params, origin, 3, 50, seed=7)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mvarkit import (
     DimensionError,
+    ForecastOrigin,
     ModelSpec,
     MvarParameters,
     NotPositiveDefiniteError,
@@ -79,6 +80,11 @@ class TestValidation:
             SeriesMatrix([[np.nan], [1.0]])
         with pytest.raises(DimensionError):
             SeriesMatrix([1.0, 2.0])
+
+    def test_forecast_origin_requires_finite_history(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                ForecastOrigin(history=[[bad, 0.0, 0.0]], t=0)
 
     def test_values_are_read_only(self, ref_params):
         with pytest.raises(ValueError):

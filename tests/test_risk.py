@@ -14,6 +14,7 @@ from mvarkit import (
     mixture_quantile,
     var_es,
 )
+from mvarkit.risk import QUANTILE_CDF_TOL
 from conftest import draw_mixture1d, make_portfolio_mixture, random_mixture1d
 from oracles import bisect_quantile, crps_quadrature, es_quadrature, mixture_cdf_direct
 
@@ -81,6 +82,34 @@ class TestQuantile:
         for q in (0.5 - 1e-11, 0.5, 0.5 + 1e-11):
             x = mixture_quantile(mix, q)
             assert abs(mixture_cdf(mix, x) - q) <= 1e-10
+
+    def test_flat_stretch_returns_left_end(self):
+        # the CDF sits at 1/2 within 1e-10 from about 6e-9 to 1e8 - 6; the
+        # left end of that stretch is where it first comes within 1e-10 of 1/2
+        weights, means, sds = [0.5, 0.5], [0.0, 1e8], [1e-9, 1.0]
+        mix = MixtureNormal1D(weights=weights, means=means, sds=sds, horizon=1, origin_time=0)
+        left_end = bisect_quantile(weights, means, sds, 0.5 - QUANTILE_CDF_TOL)
+        x = mixture_quantile(mix, 0.5)
+        assert x == pytest.approx(left_end, abs=1e-15)
+        assert abs(mixture_cdf(mix, x) - 0.5) <= QUANTILE_CDF_TOL
+        report = var_es(mix, alpha=0.5)
+        assert report.var == x
+        assert report.es <= report.var and abs(report.es) < 1e-15
+
+    @pytest.mark.parametrize("q", [1e-9, 0.05, 0.4, 0.5, 0.95, 1.0 - 1e-9])
+    def test_bimodal_mixture_matches_bisection(self, q):
+        weights, means, sds = [0.4, 0.6], [-3.0, 2.0], [1.0, 0.5]
+        mix = MixtureNormal1D(weights=weights, means=means, sds=sds, horizon=1, origin_time=0)
+        assert mixture_quantile(mix, q) == pytest.approx(bisect_quantile(weights, means, sds, q),
+                                                         abs=1e-7)
+
+    def test_narrow_component_does_not_flatten_a_wide_one(self):
+        # the CDF rises by only ~9e-12 over one sd of the spike left of the root:
+        # probing at the spike's scale would call this stretch flat and move x by ~1e-8
+        weights, means, sds = [0.5, 0.5], [0.0, 50.0], [10.0, 1e-9]
+        mix = MixtureNormal1D(weights=weights, means=means, sds=sds, horizon=1, origin_time=0)
+        assert mixture_quantile(mix, 0.05) == pytest.approx(
+            bisect_quantile(weights, means, sds, 0.05), abs=1e-10)
 
     def test_refinement_steps_are_bounded(self):
         # near 1e40 neighbouring floats are 2e24 apart: 1e-6 steps never move x,

@@ -10,7 +10,8 @@ from mvarkit import (
     simulate,
     simulate_forward,
 )
-from conftest import make_ref_params
+from conftest import make_ref_params, random_spd
+from oracles import simulate_forward_loop
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +116,55 @@ def test_forward_simulation_single_path_two_calls(ref_params):
     a = simulate_forward(ref_params, history, 2, 1, np.random.default_rng(10))
     b = simulate_forward(ref_params, history, 2, 1, np.random.default_rng(10))
     assert np.array_equal(a, b)
+
+
+def mixed_order_params(seed, g, m, orders):
+    """Random parameters with the given per-component orders (zero blocks beyond them)."""
+    rng = np.random.default_rng(seed)
+    p = max(orders)
+    theta = rng.normal(0.0, 0.3, size=(g, p, m, m))
+    for k, order in enumerate(orders):
+        theta[k, order:] = 0.0
+    pi = rng.dirichlet(np.ones(g)) * 0.8 + 0.2 / g
+    return MvarParameters(spec=ModelSpec(g, m, orders), pi=pi / pi.sum(),
+                          theta0=rng.normal(0.0, 1.0, size=(g, m)), theta=theta,
+                          omega=np.stack([random_spd(rng, m) for _ in range(g)]))
+
+
+FORWARD_CASES = {
+    "reference": (make_ref_params, 5, 200),
+    "mvar_3_211_m4": (lambda: mixed_order_params(1, 3, 4, (2, 1, 1)), 4, 150),
+    "orders_01": (lambda: mixed_order_params(2, 2, 2, (0, 1)), 3, 100),
+    "orders_00": (lambda: mixed_order_params(3, 2, 3, (0, 0)), 3, 100),
+    "g1": (lambda: mixed_order_params(4, 1, 2, (2,)), 4, 100),
+    "one_path": (make_ref_params, 6, 1),
+    "one_step": (lambda: mixed_order_params(1, 3, 4, (2, 1, 1)), 1, 50),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD_CASES))
+def test_forward_simulation_matches_per_path_loop(case):
+    make, horizon, n_paths = FORWARD_CASES[case]
+    params = make()
+    p, m = params.spec.p, params.spec.m
+    history = np.random.default_rng(99).normal(size=(p, m))
+    got = simulate_forward(params, history, horizon, n_paths, np.random.default_rng(5))
+    want = simulate_forward_loop(params.pi, params.theta0, params.theta, params.omega,
+                                 history, horizon, n_paths, np.random.default_rng(5))
+    assert got.shape == (n_paths, horizon, m)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    again = simulate_forward(params, history, horizon, n_paths, np.random.default_rng(5))
+    assert np.array_equal(got, again)
+
+
+def test_forward_simulation_rejects_non_finite_history(ref_params):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate_forward(ref_params, np.array([[bad, 0.0, 0.0]]), 2, 3,
+                             np.random.default_rng(0))
+
+
+def test_initial_values_must_be_finite(ref_params):
+    with pytest.raises(ValueError, match="non-finite"):
+        SimulationConfig(params=ref_params, n=10, initial=np.array([[np.nan, 0.0, 0.0]]))

@@ -4,8 +4,9 @@ One step ahead the predictive law is a g-component Gaussian mixture whose
 component means shift with the recent history. Two steps ahead it is a
 g^2-component mixture indexed by the component pair (k, l) drawn at t+2 and
 t+1; the pair's covariance picks up the first-lag propagation of the
-intermediate innovation. Larger horizons multiply the component count by g
-per step, so they are handled by simulation.
+intermediate innovation. Both go through the stacked coefficients ``B_k`` of
+:func:`~mvarkit.model.stacked_coefficients`. Larger horizons multiply the
+component count by g per step, so they are handled by simulation.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionError, NotPositiveDefiniteError
-from .model import ForecastOrigin, MvarParameters
+from .model import ForecastOrigin, MvarParameters, stacked_coefficients
 from .simulation import simulate_forward
 
 MOMENT_PSD_TOL = 1e-10
@@ -46,13 +46,15 @@ class MixtureNormalMV:
             raise ValueError("mixture weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {weights.sum()!r}")
-        for j in range(c):
-            try:
-                scipy.linalg.cholesky(covs[j], lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(
-                    f"mixture component {j} covariance is not positive definite"
-                ) from exc
+        if not np.all(np.isfinite(covs)):
+            raise ValueError("mixture covariances have non-finite entries")
+        try:
+            np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError as exc:
+            j = next((j for j in range(c) if not _has_cholesky(covs[j])), None)
+            raise NotPositiveDefiniteError(
+                f"mixture component {j} covariance is not positive definite"
+            ) from exc
         for a in (weights, means, covs):
             a.setflags(write=False)
         object.__setattr__(self, "weights", weights)
@@ -78,10 +80,12 @@ class MomentPair:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("moment covariance has non-finite entries")
         scale = max(1.0, float(np.max(np.abs(cov))) if cov.size else 1.0)
         if np.max(np.abs(cov - cov.T)) > MOMENT_PSD_TOL * scale:
             raise NotPositiveDefiniteError("moment covariance is not symmetric within 1e-10")
-        if float(np.min(scipy.linalg.eigvalsh(cov))) < -MOMENT_PSD_TOL * scale:
+        if float(np.min(np.linalg.eigvalsh(cov))) < -MOMENT_PSD_TOL * scale:
             raise NotPositiveDefiniteError("moment covariance is not positive semidefinite")
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -89,28 +93,29 @@ class MomentPair:
         object.__setattr__(self, "cov", cov)
 
 
-def _theta_lag(params: MvarParameters, k: int, i: int) -> np.ndarray:
-    """AR matrix of component k at lag i, a zero block beyond the stored depth."""
-    if 1 <= i <= params.spec.p:
-        return params.theta[k, i - 1]
-    return np.zeros((params.spec.m, params.spec.m))
+def _has_cholesky(cov: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _regressors(params: MvarParameters, origin: ForecastOrigin) -> np.ndarray:
+    """Regressor row ``x = (1, Y_t', ..., Y_{t-p+1}')`` of the origin, matching the rows of
+    :func:`~mvarkit.model.stacked_coefficients`."""
+    origin.check_dimensions(params.spec)
+    return np.concatenate([[1.0], origin.history[::-1].ravel()])
 
 
 def predictive_one_step(params: MvarParameters, origin: ForecastOrigin) -> MixtureNormalMV:
     """One-step predictive mixture: g components with the model's own weights.
 
-    Component k has mean ``theta0[k] + sum_i theta[k,i-1] @ Y_{t+1-i}`` and
-    covariance ``omega[k]``.
+    Component k has mean ``theta0[k] + sum_i theta[k,i-1] @ Y_{t+1-i}``, the
+    product ``x' B_k`` of the origin's regressor row with the stacked
+    coefficients, and covariance ``omega[k]``.
     """
-    origin.check_dimensions(params.spec)
-    g, m, p = params.spec.g, params.spec.m, params.spec.p
-    hist = origin.history
-    means = np.empty((g, m))
-    for k in range(g):
-        mean = params.theta0[k].copy()
-        for i in range(1, params.spec.orders[k] + 1):
-            mean += params.theta[k, i - 1] @ hist[p - i]
-        means[k] = mean
+    means = _regressors(params, origin) @ stacked_coefficients(params)
     return MixtureNormalMV(
         weights=params.pi, means=means, covs=params.omega,
         horizon=1, origin_time=origin.t,
@@ -128,29 +133,26 @@ def predictive_two_step(params: MvarParameters, origin: ForecastOrigin) -> Mixtu
         + sum_{i=1..p-1} (theta[k,i] + theta[k,0] @ theta[l,i-1]) @ Y_{t+1-i}
         + theta[k,0] @ theta[l,p-1] @ Y_{t+1-p}.
 
-    The ordering matters: in general the (k, l) and (l, k) components differ.
+    It is computed as ``c_k + theta[k,0] @ m1_l``: ``m1_l`` is component l's
+    one-step mean and ``c_k`` the two-step mean of component k with Y_{t+1}
+    left out, both products of a regressor row with the stacked coefficients.
+    Component ``j = k*g + l`` holds the pair. The ordering matters: in general
+    the (k, l) and (l, k) components differ.
     """
-    origin.check_dimensions(params.spec)
-    spec = params.spec
-    g, m, p = spec.g, spec.m, spec.p
-    hist = origin.history
-    weights = np.empty(g * g)
-    means = np.empty((g * g, m))
-    covs = np.empty((g * g, m, m))
-    for k in range(g):
-        th_k1 = _theta_lag(params, k, 1)
-        for l in range(g):
-            j = k * g + l
-            weights[j] = params.pi[k] * params.pi[l]
-            covs[j] = params.omega[k] + th_k1 @ params.omega[l] @ th_k1.T
-            mean = params.theta0[k] + th_k1 @ params.theta0[l]
-            for i in range(1, p):
-                block = _theta_lag(params, k, i + 1) + th_k1 @ _theta_lag(params, l, i)
-                mean = mean + block @ hist[p - i]
-            if p >= 1:
-                mean = mean + th_k1 @ _theta_lag(params, l, p) @ hist[0]
-            means[j] = mean
-    return MixtureNormalMV(weights=weights, means=means, covs=covs,
+    g, m, p = params.spec.g, params.spec.m, params.spec.p
+    coef = stacked_coefficients(params)
+    x = _regressors(params, origin)
+    one_step = x @ coef
+    x[1 + m:] = x[1:1 + m * (p - 1)]   # lag i+1 of Y_{t+2} is lag i of Y_{t+1}
+    x[1:1 + m] = 0.0                   # Y_{t+1} enters through theta[k,0] @ one_step[l]
+    rest = x @ coef
+    first = params.theta[:, 0] if p else np.zeros((g, m, m))   # theta[k,0] of every k
+    first_t = first.transpose(0, 2, 1)
+    # axis 0 is k, axis 1 is l
+    means = rest[:, None, :] + one_step @ first_t
+    covs = params.omega[:, None] + first[:, None] @ params.omega @ first_t[:, None]
+    return MixtureNormalMV(weights=np.outer(params.pi, params.pi).ravel(),
+                           means=means.reshape(g * g, m), covs=covs.reshape(g * g, m, m),
                            horizon=2, origin_time=origin.t)
 
 
@@ -184,7 +186,8 @@ def predictive_h_step_mc(
     origin.check_dimensions(params.spec)
     rng = np.random.default_rng(seed)
     paths = simulate_forward(params, origin.history, horizon, n_paths, rng)
-    endpoints = paths[:, -1, :]
+    endpoints = paths[:, -1, :].copy()   # an owned block: a view would keep every step alive
+    del paths
     mean = endpoints.mean(axis=0)
     if n_paths > 1:
         cov = np.cov(endpoints.T, ddof=1).reshape(params.spec.m, params.spec.m)

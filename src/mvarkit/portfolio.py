@@ -128,36 +128,36 @@ def scalar_mixture_moments(mix: MixtureNormal1D) -> tuple[float, float]:
     return mean, var
 
 
-def _spd_solve(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _frontier(
+    mean: np.ndarray, cov: np.ndarray
+) -> tuple[MarkowitzCoefficients, np.ndarray, np.ndarray]:
+    """Frontier scalars with ``Omega^-1 1`` and ``Omega^-1 mu``, from one Cholesky factorisation."""
+    m = mean.shape[0]
+    if cov.shape != (m, m):
+        raise DimensionError(f"cov must be ({m},{m}), got {cov.shape}")
     try:
         factor = scipy.linalg.cho_factor(cov, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"covariance is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, rhs)
-
-
-def markowitz_coefficients(mean, cov) -> MarkowitzCoefficients:
-    """Frontier scalars for conditional moments, via Cholesky solves."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    m = mean.shape[0]
-    if cov.shape != (m, m):
-        raise DimensionError(f"cov must be ({m},{m}), got {cov.shape}")
     ones = np.ones(m)
-    sol = _spd_solve(cov, np.column_stack([ones, mean]))
+    sol = scipy.linalg.cho_solve(factor, np.column_stack([ones, mean]))
     x, y = sol[:, 0], sol[:, 1]          # Omega^-1 1, Omega^-1 mu
     a = float(ones @ y)
     b = float(mean @ y)
     c = float(ones @ x)
-    return MarkowitzCoefficients(a=a, b=b, c=c, d=c * b - a * a)
+    return MarkowitzCoefficients(a=a, b=b, c=c, d=c * b - a * a), x, y
+
+
+def markowitz_coefficients(mean, cov) -> MarkowitzCoefficients:
+    """Frontier scalars for conditional moments, via Cholesky solves."""
+    return _frontier(np.asarray(mean, dtype=float), np.asarray(cov, dtype=float))[0]
 
 
 def mvp_weights(mean, cov, horizon: int = 1) -> PortfolioSolution:
     """Minimum variance portfolio: w = Omega^-1 1 / c, return a/c, sd sqrt(1/c)."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    coeffs = markowitz_coefficients(mean, cov)
-    x = _spd_solve(cov, np.ones(mean.shape[0]))
+    coeffs, x, _ = _frontier(mean, cov)
     w = x / coeffs.c
     return PortfolioSolution(
         weights=w,
@@ -178,14 +178,11 @@ def efficient_weights(mean, cov, target: float, horizon: int = 1) -> PortfolioSo
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    coeffs = markowitz_coefficients(mean, cov)
+    coeffs, x, y = _frontier(mean, cov)
     if coeffs.d <= DEGENERATE_FRONTIER_TOL:
         raise DegenerateFrontierError(
             f"degenerate frontier: mean vector proportional to ones (d={coeffs.d:.3e})"
         )
-    ones = np.ones(mean.shape[0])
-    sol = _spd_solve(cov, np.column_stack([ones, mean]))
-    x, y = sol[:, 0], sol[:, 1]
     w = (coeffs.b * x - coeffs.a * y + target * (coeffs.c * y - coeffs.a * x)) / coeffs.d
     return PortfolioSolution(
         weights=w,

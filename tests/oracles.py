@@ -132,6 +132,49 @@ def es_quadrature(weights, means, sds, alpha):
     return partial / tail
 
 
+def predictive_pairs(pi, theta0, theta, omega, history):
+    """One- and two-step predictive mixtures, one component or pair at a time.
+
+    ``theta`` is (g, p, m, m) with zero blocks beyond a component's order and
+    ``history`` (p, m) oldest first, so Y_{t+1-i} is ``history[p - i]``. Returns
+    ``((weights, means, covs), (weights, means, covs))`` for h=1 and h=2. The
+    h=2 pair (k, l), stored at k*g + l, has component k generate Y_{t+2} and l
+    generate Y_{t+1}, with the hand-expanded mean
+
+        theta0[k] + theta[k,0] @ theta0[l]
+        + sum_{i=1..p-1} (theta[k,i] + theta[k,0] @ theta[l,i-1]) @ Y_{t+1-i}
+        + theta[k,0] @ theta[l,p-1] @ Y_{t+1-p}
+
+    and covariance omega[k] + theta[k,0] @ omega[l] @ theta[k,0].T.
+    """
+    pi = np.asarray(pi, dtype=float)
+    theta0 = np.asarray(theta0, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    g, p, m = theta.shape[0], theta.shape[1], theta0.shape[1]
+    y = np.asarray(history, dtype=float).reshape(p, m)
+    one = (pi.copy(), np.empty((g, m)), omega.copy())
+    for k in range(g):
+        mean = theta0[k].copy()
+        for i in range(1, p + 1):
+            mean = mean + theta[k, i - 1] @ y[p - i]
+        one[1][k] = mean
+    two = (np.empty(g * g), np.empty((g * g, m)), np.empty((g * g, m, m)))
+    for k in range(g):
+        first = theta[k, 0] if p >= 1 else np.zeros((m, m))
+        for l in range(g):
+            j = k * g + l
+            two[0][j] = pi[k] * pi[l]
+            mean = theta0[k] + first @ theta0[l]
+            for i in range(1, p):
+                mean = mean + (theta[k, i] + first @ theta[l, i - 1]) @ y[p - i]
+            if p >= 1:
+                mean = mean + first @ theta[l, p - 1] @ y[0]
+            two[1][j] = mean
+            two[2][j] = omega[k] + first @ omega[l] @ first.T
+    return one, two
+
+
 def simulate_forward_loop(pi, theta0, theta, omega, history, horizon, n_paths, rng):
     """Forward paths (n_paths, horizon, m) from ``history`` (p, m, oldest first), one path at a time.
 

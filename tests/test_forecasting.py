@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvarkit import (
     ForecastOrigin,
     MixtureNormalMV,
     ModelSpec,
+    MomentPair,
     MvarParameters,
     NotPositiveDefiniteError,
     mixture_moments,
     predictive_h_step_mc,
     predictive_one_step,
     predictive_two_step,
+    simulate_forward,
 )
 from conftest import draw_mixture_mv, make_est_params, make_ref_params, random_stable_params
-from oracles import companion_moments
+from oracles import companion_moments, predictive_pairs
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +28,16 @@ def ref_params():
 @pytest.fixture(scope="module")
 def origin():
     return ForecastOrigin(history=np.array([[0.8, -1.1, 2.0]]), t=497)
+
+
+def mixed_order_params(seed: int, g: int, m: int, orders: tuple[int, ...]) -> MvarParameters:
+    """Random parameters with per-component orders (zero blocks beyond each order)."""
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.ones(g))
+    lags = [[rng.normal(0.0, 0.3, size=(m, m)) for _ in range(order)] for order in orders]
+    omega = [a @ a.T + 0.5 * np.eye(m) for a in rng.normal(size=(g, m, m))]
+    return MvarParameters.from_component_lists(ModelSpec(g, m, orders), pi / pi.sum(),
+                                               rng.normal(0.0, 1.0, size=(g, m)), lags, omega)
 
 
 def scalar_var1(theta0, theta1, omega):
@@ -96,6 +110,24 @@ class TestMixtureMoments:
         fourth = (centered[:, :, None] ** 2 * centered[:, None, :] ** 2).mean(axis=0)
         se_cov = np.sqrt((fourth - emp_cov ** 2) / len(draws))
         assert np.all(np.abs(emp_cov - mom.cov) < 3 * se_cov)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 12), m=st.integers(1, 5),
+           log_scale=st.floats(-6.0, 6.0), log_spread=st.floats(-4.0, 1.0))
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    def test_covariance_is_psd(self, seed, c, m, log_scale, log_spread):
+        # covariances at (10**log_scale)**2 times 10**log_spread..1, means at 10**log_scale
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        a = rng.normal(size=(c, m, m))
+        covs = scale ** 2 * (a @ a.transpose(0, 2, 1) + 10.0 ** log_spread * np.eye(m))
+        weights = rng.dirichlet(np.ones(c))
+        mix = MixtureNormalMV(weights=weights / weights.sum(), means=rng.normal(0.0, scale, (c, m)),
+                              covs=covs, horizon=1, origin_time=0)
+        cov = mixture_moments(mix).cov
+        assert np.array_equal(cov, cov.T)
+        # within-component covariance bounds the smallest eigenvalue from below
+        floor = float(mix.weights @ np.linalg.eigvalsh(mix.covs)[:, 0])
+        assert np.linalg.eigvalsh(cov)[0] >= floor - 1e-12 * float(np.max(np.abs(cov)))
 
     def test_law_of_total_variance(self, ref_params, origin):
         mix = predictive_two_step(ref_params, origin)
@@ -174,6 +206,25 @@ class TestTwoStep:
         assert np.all(np.abs(emp.cov - mom.cov) < 3.5 * se_cov)
 
 
+@pytest.mark.parametrize("g, m, orders", [
+    (3, 4, (2, 1, 1)),   # MVAR(3;2,1,1): zero blocks at lag 2
+    (2, 3, (2, 1)),
+    (2, 2, (0, 1)),
+    (2, 2, (0, 0)),
+    (1, 3, (3,)),
+])
+def test_predictives_match_per_pair_oracle(g, m, orders):
+    params = mixed_order_params(60 + g + m, g, m, orders)
+    hist = np.random.default_rng(61).normal(0.0, 2.0, size=(params.spec.p, m))
+    origin = ForecastOrigin(history=hist, t=12)
+    expected = predictive_pairs(params.pi, params.theta0, params.theta, params.omega, hist)
+    for mix, (weights, means, covs) in zip(
+            (predictive_one_step(params, origin), predictive_two_step(params, origin)), expected):
+        for got, want in ((mix.weights, weights), (mix.means, means), (mix.covs, covs)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
 class TestMonteCarloForecast:
     def test_h1_consistent_with_analytic(self, ref_params, origin):
         mom = mixture_moments(predictive_one_step(ref_params, origin))
@@ -192,6 +243,12 @@ class TestMonteCarloForecast:
         se_cov = np.sqrt((fourth - emp.cov ** 2) / len(draws))
         assert np.all(np.abs(emp.cov - cov) < 4 * se_cov)
 
+    def test_endpoints_own_their_data(self, ref_params, origin):
+        draws, _ = predictive_h_step_mc(ref_params, origin, 4, 300, seed=29)
+        assert draws.base is None and draws.flags.owndata
+        paths = simulate_forward(ref_params, origin.history, 4, 300, np.random.default_rng(29))
+        assert np.array_equal(draws, paths[:, -1, :])
+
     def test_deterministic_given_seed(self, ref_params, origin):
         a, _ = predictive_h_step_mc(ref_params, origin, 3, 50, seed=7)
         b, _ = predictive_h_step_mc(ref_params, origin, 3, 50, seed=7)
@@ -203,6 +260,25 @@ class TestMixtureValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             MixtureNormalMV(weights=[0.6, 0.6], means=np.zeros((2, 1)),
                             covs=np.ones((2, 1, 1)), horizon=1, origin_time=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_covs_must_be_finite(self, bad):
+        covs = np.stack([np.eye(2), np.eye(2)])
+        covs[1, 0, 0] = bad
+        with pytest.raises(ValueError):
+            MixtureNormalMV(weights=[0.5, 0.5], means=np.zeros((2, 2)), covs=covs,
+                            horizon=1, origin_time=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_moment_cov_must_be_finite(self, bad):
+        with pytest.raises(ValueError):
+            MomentPair(mean=np.zeros(2), cov=[[1.0, 0.0], [0.0, bad]])
+
+    def test_failing_component_is_named(self):
+        covs = [np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]
+        with pytest.raises(NotPositiveDefiniteError, match="component 2"):
+            MixtureNormalMV(weights=[0.2, 0.3, 0.5], means=np.zeros((3, 2)), covs=covs,
+                            horizon=1, origin_time=0)
 
     def test_covs_must_be_spd(self):
         with pytest.raises(NotPositiveDefiniteError):

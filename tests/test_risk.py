@@ -23,6 +23,26 @@ def std_normal_mix():
     return MixtureNormal1D(weights=[1.0], means=[0.0], sds=[1.0], horizon=1, origin_time=0)
 
 
+def scaled_mixture(seed: int, c: int, log_scale: float, log_sd: float) -> MixtureNormal1D:
+    """c components with means drawn at 10**log_scale and sds of 10**log_sd to
+    10**(log_sd - 1) times that, at least 1e-9.
+
+    With sds down to 1e-4 of the scale, one float step of x (|x| up to ~5 times
+    the scale) moves a component's CDF by at most ~5e-12, so the 1e-10
+    contract can be met.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    w = rng.dirichlet(np.ones(c))
+    sds = scale * 10.0 ** (log_sd - rng.uniform(0.0, 1.0, c))
+    return MixtureNormal1D(weights=w / w.sum(), means=rng.normal(0.0, scale, c),
+                           sds=np.maximum(sds, 1e-9), horizon=1, origin_time=0)
+
+
+MIXTURE_PROPERTY = dict(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 12),
+                        log_scale=st.floats(-6.0, 6.0), log_sd=st.floats(-3.0, 1.0))
+
+
 class TestCdf:
     def test_single_normal_at_mean(self):
         assert mixture_cdf(std_normal_mix(), 0.0) == pytest.approx(0.5, abs=1e-15)
@@ -122,6 +142,31 @@ class TestQuantile:
         with pytest.raises(ValueError):
             mixture_quantile(std_normal_mix(), 0.0)
 
+    @given(q=st.floats(1e-9, 1.0 - 1e-9), gap=st.integers(0, 11), **MIXTURE_PROPERTY)
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    def test_inverts_cdf_with_left_end_convention(self, seed, c, log_scale, log_sd, q, gap):
+        mix = scaled_mixture(seed, c, log_scale, log_sd)
+        if 0 < gap < c:
+            # the mass left of a gap between components: where the CDF is flattest
+            q = float(np.clip(np.cumsum(mix.weights[np.argsort(mix.means)])[gap - 1],
+                              1e-9, 1.0 - 1e-9))
+        x = mixture_quantile(mix, q)
+        assert abs(mixture_cdf(mix, x) - q) <= QUANTILE_CDF_TOL
+        # against the erf-based bisection oracle; eps covers the two CDFs' rounding
+        w, mu, sd = mix.weights, mix.means, mix.sds
+        eps, slack = 1e-14, 4.0 * np.spacing(abs(x))
+
+        def between(lo_level, hi_level):
+            return (bisect_quantile(w, mu, sd, lo_level) - slack <= x
+                    <= bisect_quantile(w, mu, sd, hi_level) + slack)
+
+        assert between(q - QUANTILE_CDF_TOL - eps, q + QUANTILE_CDF_TOL + eps)
+        # either the CDF a widest sd left of x is already below the band, or the
+        # band is flat there and x is its left end: the oracle's quantile at q - tol
+        probe = x - float(np.max(sd))
+        probe_below = mixture_cdf_direct(w, mu, sd, probe) < q - QUANTILE_CDF_TOL + eps
+        assert probe_below or between(q - QUANTILE_CDF_TOL - eps, q - QUANTILE_CDF_TOL + eps)
+
 
 class TestVarEs:
     def test_standard_normal(self):
@@ -187,6 +232,22 @@ class TestCrps:
             closed = crps_mixture(mix, x)
             quad = crps_quadrature(mix.weights, mix.means, mix.sds, x)
             assert closed == pytest.approx(quad, abs=1e-7)
+
+    @given(x_sd=st.floats(-5.0, 5.0), **MIXTURE_PROPERTY)
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    def test_nonnegative_over_scales(self, seed, c, log_scale, log_sd, x_sd):
+        mix = scaled_mixture(seed, c, log_scale, log_sd)
+        assert crps_mixture(mix, x_sd * 10.0 ** log_scale) >= 0.0
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 12), log_sd=st.floats(-1.0, 1.0),
+           x=st.floats(-8.0, 8.0))
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    def test_matches_quadrature_property(self, seed, c, log_sd, x):
+        mix = scaled_mixture(seed, c, 0.0, log_sd)
+        closed = crps_mixture(mix, x)
+        assert closed >= 0.0
+        quad = crps_quadrature(mix.weights, mix.means, mix.sds, x)
+        assert closed == pytest.approx(quad, abs=1e-7)
 
     def test_vectorized_over_observations(self):
         mix = make_portfolio_mixture()

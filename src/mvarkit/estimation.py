@@ -5,6 +5,13 @@ M-step solves one weighted least-squares problem per component and re-weights
 the innovation covariances. Starts are initialized by drawing responsibility
 rows from a symmetric Dirichlet(1) and running one M-step.
 
+The M-step takes its weighted sums from a moment matrix built once per fit:
+row t holds ``x_t (x) (x_t, y_t)``, so one product of the responsibilities with
+it gives every component's weighted Gram matrix ``X'WX``, right-hand side
+``X'WY`` and weight sum (``x_t[0] = 1``). The covariances are not taken from
+these raw moments, which cancel catastrophically for data far from zero; they
+come from the residuals under the updated coefficients.
+
 Both steps are written for a batch of starts: every array carries a leading
 start axis and a component axis, and the work is done by stacked ``matmul``
 and ``np.linalg`` calls (the normal equations of components of one AR order
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -87,6 +95,15 @@ class _Design:
         self.groups = [(np.flatnonzero(orders == order), 1 + spec.m * order)
                        for order in sorted(set(spec.orders))]
 
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """Moment matrix of shape (N, d * (d + m)): row t is ``x_t (x) (x_t, y_t)``.
+
+        Built on first use, so only fits that run an M-step pay for it.
+        """
+        xy = np.concatenate([self.x, self.y], axis=1)
+        return (self.x[:, :, None] * xy[:, None, :]).reshape(self.x.shape[0], -1)
+
 
 def _stacked(fn, out_shape, *arrays) -> np.ndarray:
     """Apply an ``np.linalg`` function over stacked matrices; failing slices come back NaN.
@@ -132,14 +149,16 @@ def _m_kernel(design: _Design, tau: np.ndarray) -> _Update:
     eigenvalue test but has no Cholesky factor raises
     :class:`NotPositiveDefiniteError`.
     """
-    n_starts, g, _ = tau.shape
-    m = design.spec.m
-    pi = tau.mean(axis=-1)
+    n_starts, g, n_obs = tau.shape
+    d, m = design.xt.shape[0], design.spec.m
+    # Keep the start axis: the stacked product runs one GEMM per start, so a
+    # start's sums do not depend on its batch mates, as one (S*g, N) GEMM would.
+    sums = (tau @ design.moments).reshape(n_starts, g, d, d + m)
+    gram, rhs = sums[..., :d], sums[..., d:]
+    weight = sums[:, :, 0, 0]                                 # x_t[0] = 1
+    pi = weight / n_obs
     # Re-normalize against accumulated rounding so the invariant checks pass.
     pi /= pi.sum(axis=-1, keepdims=True)
-    wxt = tau[:, :, None, :] * design.xt                      # (S, g, d, N)
-    gram = wxt @ design.x
-    rhs = wxt @ design.y
     coef = np.zeros(rhs.shape)
     for components, width in design.groups:
         block = rhs[:, components, :width]
@@ -148,7 +167,7 @@ def _m_kernel(design: _Design, tau: np.ndarray) -> _Update:
     singular = ~np.all(np.isfinite(coef), axis=(-2, -1))
     resid = stacked_residuals(coef, design.xt, design.yt)
     omega = (resid * tau[:, :, None, :]) @ resid.swapaxes(-1, -2)
-    omega /= tau.sum(axis=-1)[..., None, None]
+    omega /= weight[..., None, None]
     omega = 0.5 * (omega + omega.swapaxes(-1, -2))
     finite = np.all(np.isfinite(omega), axis=(-2, -1))
     eye = np.eye(m)

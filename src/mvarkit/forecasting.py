@@ -42,6 +42,8 @@ class MixtureNormalMV:
                 f"component count mismatch: {c} weights, {means.shape[0]} means, "
                 f"{covs.shape[0]} covariances"
             )
+        if not (np.isfinite(weights).all() and np.isfinite(means).all()):
+            raise ValueError("mixture weights and means must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("mixture weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -159,13 +161,15 @@ def predictive_two_step(params: MvarParameters, origin: ForecastOrigin) -> Mixtu
 def mixture_moments(mix: MixtureNormalMV) -> MomentPair:
     """Overall mean and covariance of a Gaussian mixture.
 
-    cov = sum_j w_j (cov_j + mu_j mu_j') - mu mu', symmetrized.
+    cov = sum_j w_j (cov_j + d_j d_j') with d_j = mu_j - mu, symmetrized. The
+    means are centred first: the raw form ``sum_j w_j mu_j mu_j' - mu mu'``
+    cancels catastrophically when the means sit far from zero.
     """
     w = mix.weights
     mean = w @ mix.means
+    dev = mix.means - mean
     cov = np.einsum("j,jab->ab", w, mix.covs)
-    cov += np.einsum("j,ja,jb->ab", w, mix.means, mix.means)
-    cov -= np.outer(mean, mean)
+    cov += np.einsum("j,ja,jb->ab", w, dev, dev)
     cov = 0.5 * (cov + cov.T)
     return MomentPair(mean=mean, cov=cov)
 

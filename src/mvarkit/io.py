@@ -1,7 +1,8 @@
 """Data ingestion, model persistence, and plot-ready exports.
 
 Input tables are CSV with a leading ISO-8601 ``date`` column and numeric
-columns after it. Rows containing any missing cell are dropped and counted.
+columns after it. Rows containing any missing or non-finite cell are dropped
+and counted.
 Model files are versioned JSON documents (``format_version: 1``) holding the
 spec, the parameter arrays row-major, and provenance (data hash, fit
 settings, seed, timestamps). All writes are atomic (temp file + rename), and
@@ -101,27 +102,33 @@ def _read_csv_stream(handle) -> tuple[list[str], list[str], np.ndarray, int]:
     rows: list[list[float]] = []
     dropped = 0
     for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        if len(row) == len(header):
+            try:
+                # float() strips surrounding whitespace itself
+                rows.append([float(c) for c in row[1:]])
+                dates.append(row[0].strip())
+                continue
+            except ValueError as exc:
+                error = exc
+        if all(not c.strip() for c in row):
             continue
         if len(row) != len(header):
             raise DataFormatError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-        cells = [c.strip() for c in row[1:]]
-        if any(c.lower() in _MISSING_TOKENS for c in cells):
+        if any(c.strip().lower() in _MISSING_TOKENS for c in row[1:]):
             dropped += 1
             continue
-        try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            raise DataFormatError(f"line {line_no}: non-numeric cell ({exc})") from exc
-        if not all(np.isfinite(values)):
-            dropped += 1
-            continue
-        dates.append(row[0].strip())
-        rows.append(values)
-    if not rows:
+        raise DataFormatError(f"line {line_no}: non-numeric cell ({error})") from error
+    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    # NaN and +/-inf parse as floats: those rows are dropped here, in one pass
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        dropped += int(np.count_nonzero(~finite))
+        values = values[finite]
+        dates = [date for date, keep in zip(dates, finite) if keep]
+    if not dates:
         raise DataFormatError("CSV contains no complete data rows")
     _check_dates(dates)
-    return dates, names, np.asarray(rows, dtype=float), dropped
+    return dates, names, values, dropped
 
 
 def load_series(path, input_kind: str = "returns"):

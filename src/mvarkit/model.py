@@ -302,8 +302,8 @@ def stacked_residuals(coef: np.ndarray, xt: np.ndarray, yt: np.ndarray) -> np.nd
     goes through one matrix product.
     """
     *lead, d, m = coef.shape
-    fitted = np.ascontiguousarray(coef.swapaxes(-1, -2)).reshape(-1, d) @ xt
-    return np.subtract(yt, fitted.reshape(*lead, m, -1))
+    fitted = (np.ascontiguousarray(coef.swapaxes(-1, -2)).reshape(-1, d) @ xt).reshape(*lead, m, -1)
+    return np.subtract(yt, fitted, out=fitted)
 
 
 def component_residual(params: MvarParameters, series: SeriesMatrix, t: int, k: int) -> np.ndarray:
@@ -342,7 +342,9 @@ def gaussian_log_densities(resid: np.ndarray, chol: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         quad = np.einsum("...in,...in->...n", half, half)
     log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * (m * LOG_2PI + log_det[..., None] + quad)
+    quad += m * LOG_2PI + log_det[..., None]
+    quad *= -0.5
+    return quad
 
 
 def component_log_densities(params: MvarParameters, series: SeriesMatrix) -> np.ndarray:
@@ -358,18 +360,18 @@ def component_log_densities(params: MvarParameters, series: SeriesMatrix) -> np.
 def log_normalise(log_joint: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Log-sum-exp and normalised probabilities along ``axis`` in one max/exp/sum pass.
 
-    Returns ``(log_norm, probs)``: ``log_norm`` drops ``axis``; ``probs`` has
-    the shape of ``log_joint`` and sums to 1 along ``axis``. Where every entry
-    along ``axis`` is ``-inf`` (all components underflowed), ``log_norm`` is
-    non-finite and ``probs`` is NaN.
+    ``log_joint`` is normalised in place. Returns ``(log_norm, probs)``:
+    ``log_norm`` drops ``axis``; ``probs`` is ``log_joint`` itself, now summing
+    to 1 along ``axis``. Where every entry along ``axis`` is ``-inf`` (all
+    components underflowed), ``log_norm`` is non-finite and ``probs`` is NaN.
     """
     row_max = np.max(log_joint, axis=axis, keepdims=True)
     with np.errstate(invalid="ignore"):
-        probs = log_joint - row_max
-    np.exp(probs, out=probs)
-    total = np.sum(probs, axis=axis, keepdims=True)
-    probs /= total
-    return np.squeeze(row_max + np.log(total), axis=axis), probs
+        log_joint -= row_max
+    np.exp(log_joint, out=log_joint)
+    total = np.sum(log_joint, axis=axis, keepdims=True)
+    log_joint /= total
+    return np.squeeze(row_max + np.log(total), axis=axis), log_joint
 
 
 def log_likelihood(params: MvarParameters, series: SeriesMatrix) -> float:

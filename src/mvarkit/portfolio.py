@@ -44,6 +44,8 @@ class MixtureNormal1D:
         sds = np.array(self.sds, dtype=float)
         if not (weights.shape == means.shape == sds.shape) or weights.ndim != 1:
             raise DimensionError("weights, means and sds must be equal-length vectors")
+        if not np.isfinite((weights, means, sds)).all():
+            raise ValueError("mixture weights, means and sds must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("mixture weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:

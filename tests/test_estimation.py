@@ -141,6 +141,28 @@ class TestMStep:
             om = (resid * raw[:, k][:, None]).T @ resid / raw[:, k].sum()
             assert np.allclose(params.omega[k], om, atol=1e-8)
 
+    def test_mixed_orders_match_explicit_wls_oracle(self):
+        # orders (2, 1, 0): each component reads its own leading block of the
+        # order-2 regressors, the order-0 one only the intercept column
+        rng = np.random.default_rng(17)
+        y = rng.normal(size=(60, 2)).cumsum(axis=0) * 0.1 + rng.normal(size=(60, 2))
+        series = SeriesMatrix(y)
+        spec = ModelSpec(3, 2, (2, 1, 0))
+        raw = rng.dirichlet(np.ones(3), size=58)
+        params = m_step(series, Responsibilities(raw), spec)
+        x = regressor_matrix(series, 2, 2)
+        for k, order in enumerate(spec.orders):
+            width = 1 + 2 * order
+            coef = wls_explicit(x[:, :width], raw[:, k], y[2:])
+            assert np.allclose(params.theta0[k], coef[0], atol=1e-10)
+            for lag in range(2):
+                expected = coef[1 + 2 * lag: 3 + 2 * lag].T if lag < order else np.zeros((2, 2))
+                assert np.allclose(params.theta[k, lag], expected, atol=1e-10)
+            resid = y[2:] - x[:, :width] @ coef
+            om = (resid * raw[:, k][:, None]).T @ resid / raw[:, k].sum()
+            assert np.allclose(params.omega[k], om, atol=1e-10)
+        assert np.allclose(params.pi, raw.mean(axis=0), atol=1e-15)
+
     def test_singular_component_identified(self):
         series = SeriesMatrix(np.random.default_rng(8).normal(size=(40, 1)))
         spec = ModelSpec(2, 1, (1, 1))

@@ -111,17 +111,28 @@ class TestMixtureMoments:
         se_cov = np.sqrt((fourth - emp_cov ** 2) / len(draws))
         assert np.all(np.abs(emp_cov - mom.cov) < 3 * se_cov)
 
+    def test_means_far_from_zero(self):
+        mix = MixtureNormalMV(weights=[0.5, 0.5], means=[[1e8, 1e8], [1e8 + 1.0, 1e8 - 1.0]],
+                              covs=[0.01 * np.eye(2)] * 2, horizon=1, origin_time=0)
+        mom = mixture_moments(mix)
+        assert np.array_equal(mom.mean, [1e8 + 0.5, 1e8 - 0.5])
+        assert np.linalg.eigvalsh(mom.cov)[0] == pytest.approx(0.01, rel=1e-12)
+
     @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 12), m=st.integers(1, 5),
-           log_scale=st.floats(-6.0, 6.0), log_spread=st.floats(-4.0, 1.0))
+           log_scale=st.floats(-6.0, 6.0), log_spread=st.floats(-4.0, 1.0),
+           log_offset=st.one_of(st.none(), st.floats(2.0, 8.0)))
     @settings(deadline=None, derandomize=True, max_examples=200)
-    def test_covariance_is_psd(self, seed, c, m, log_scale, log_spread):
+    def test_covariance_is_psd(self, seed, c, m, log_scale, log_spread, log_offset):
         # covariances at (10**log_scale)**2 times 10**log_spread..1, means at 10**log_scale
+        # around 0 or around a common point 10**log_offset times the scale away
         rng = np.random.default_rng(seed)
         scale = 10.0 ** log_scale
+        offset = 0.0 if log_offset is None else scale * 10.0 ** log_offset
         a = rng.normal(size=(c, m, m))
         covs = scale ** 2 * (a @ a.transpose(0, 2, 1) + 10.0 ** log_spread * np.eye(m))
         weights = rng.dirichlet(np.ones(c))
-        mix = MixtureNormalMV(weights=weights / weights.sum(), means=rng.normal(0.0, scale, (c, m)),
+        mix = MixtureNormalMV(weights=weights / weights.sum(),
+                              means=offset + rng.normal(0.0, scale, (c, m)),
                               covs=covs, horizon=1, origin_time=0)
         cov = mixture_moments(mix).cov
         assert np.array_equal(cov, cov.T)
@@ -268,6 +279,13 @@ class TestMixtureValidation:
         with pytest.raises(ValueError):
             MixtureNormalMV(weights=[0.5, 0.5], means=np.zeros((2, 2)), covs=covs,
                             horizon=1, origin_time=0)
+
+    @pytest.mark.parametrize("field", ["weights", "means"])
+    def test_weights_and_means_must_be_finite(self, field):
+        fields = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2))}
+        fields[field].flat[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            MixtureNormalMV(**fields, covs=np.stack([np.eye(2)] * 2), horizon=1, origin_time=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_moment_cov_must_be_finite(self, bad):

@@ -61,6 +61,41 @@ class TestCsvReader:
         assert dates == ["2020-01-01", "2020-01-04"]
         assert values.shape == (2, 1)
 
+    @pytest.mark.parametrize("token", ["NA", " null ", "None", "NaN"])
+    def test_missing_tokens_drop_the_row(self, token):
+        dates, _, values, dropped = self.read(f"date,a,b\n2020-01-01,1.0,{token}\n2020-01-02,2.0,3.0\n")
+        assert dropped == 1
+        assert dates == ["2020-01-02"]
+        assert np.array_equal(values, [[2.0, 3.0]])
+
+    def test_infinite_rows_dropped_and_counted(self):
+        text = "date,a\n2020-01-01,inf\n2020-01-02,1.5\n2020-01-03,-inf\n"
+        dates, _, values, dropped = self.read(text)
+        assert dropped == 2
+        assert dates == ["2020-01-02"]
+        assert np.array_equal(values, [[1.5]])
+
+    def test_missing_token_beats_non_numeric_cell(self):
+        dates, _, _, dropped = self.read("date,a,b\n2020-01-01,abc,NA\n2020-01-02,1.0,2.0\n")
+        assert dropped == 1
+        assert dates == ["2020-01-02"]
+
+    def test_wrong_cell_count_names_the_line(self):
+        with pytest.raises(DataFormatError, match="line 3: expected 3 cells, got 2"):
+            self.read("date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,1.0\n")
+
+    def test_blank_lines_skipped(self):
+        text = "date,a\n\n2020-01-01,1.0\n,\n  ,  \n2020-01-02,2.0\n"
+        dates, _, values, dropped = self.read(text)
+        assert dropped == 0
+        assert dates == ["2020-01-01", "2020-01-02"]
+        assert np.array_equal(values, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("body", ["2020-01-01,NA\n2020-01-02,inf\n", "\n"])
+    def test_no_complete_rows_raises(self, body):
+        with pytest.raises(DataFormatError, match="no complete data rows"):
+            self.read("date,a\n" + body)
+
     def test_requires_date_header(self):
         with pytest.raises(DataFormatError, match="date"):
             self.read("time,a\n2020-01-01,1.0\n")

@@ -206,6 +206,14 @@ class TestVarEs:
         report = var_es(mix, alpha)
         assert report.es <= report.var
 
+    @pytest.mark.parametrize("field", ["weights", "means", "sds"])
+    def test_non_finite_mixture_rejected(self, field):
+        fields = {"weights": [0.5, 0.5], "means": [0.0, 1.0], "sds": [1.0, 1.0]}
+        fields[field] = [fields[field][0], np.nan]
+        # before, a NaN weight or mean surfaced as a BracketError from the quantile search
+        with pytest.raises(ValueError, match="finite"):
+            var_es(MixtureNormal1D(**fields, horizon=1, origin_time=0), alpha=0.95)
+
     def test_report_validates_ordering(self):
         with pytest.raises(ValueError):
             RiskReport(alpha=0.95, var=-1.0, es=-0.5)

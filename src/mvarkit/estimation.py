@@ -18,6 +18,13 @@ and ``np.linalg`` calls (the normal equations of components of one AR order
 are solved together). ``em_fit`` advances all of its starts through one loop
 in lockstep; the public ``e_step`` and ``m_step`` are the one-start case of
 the same kernels.
+
+Failures are classified only when a start fails. An M-step in which every
+start passes costs the arithmetic plus one stacked ``eigvalsh``, one stacked
+``cholesky`` and a scalar test of their results; an E-step costs a scalar test
+of the log-likelihoods. Only when a test fails (or a stacked call raises) are
+the starts classified one by one, with the same error classes, component
+indices and messages either way.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .model import (
 
 ROW_SUM_TOL = 1e-10
 COLLAPSE_EIGENVALUE = 1e-12
+WINNER_TIE_RTOL = 1e-12     # final log-likelihoods this close to the best count as tied
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,8 @@ class Responsibilities:
         tau = np.array(self.tau, dtype=float)
         if tau.ndim != 2:
             raise DimensionError(f"tau must be 2-d, got shape {tau.shape}")
+        if not np.all(np.isfinite(tau)):
+            raise ValueError("responsibilities must be finite")
         if np.any(tau < 0.0):
             raise ValueError("responsibilities must be nonnegative")
         if np.max(np.abs(tau.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
@@ -138,8 +148,11 @@ class _Update(NamedTuple):
                        self.chol[rows], [self.errors[r] for r in rows])
 
 
-def _m_kernel(design: _Design, tau: np.ndarray) -> _Update:
+def _m_kernel(design: _Design, tau: np.ndarray, scratch: np.ndarray | None = None) -> _Update:
     """Weighted least-squares update of S starts at once from responsibilities (S, g, N).
+
+    ``scratch``, if given, is an (S, g, m, N) array the kernel may overwrite; a
+    fit passes the same one every iteration instead of allocating it anew.
 
     A start fails at its first component (in index order) whose weighted
     normal equations are singular (:class:`SingularComponentError`) or whose
@@ -147,7 +160,9 @@ def _m_kernel(design: _Design, tau: np.ndarray) -> _Update:
     (:class:`ComponentCollapseError`); non-finite coefficients count as
     singular, non-finite covariances as collapsed. A covariance that passes the
     eigenvalue test but has no Cholesky factor raises
-    :class:`NotPositiveDefiniteError`.
+    :class:`NotPositiveDefiniteError`. When every start passes, the stacked
+    eigenvalue and Cholesky calls are the whole check; the per-start
+    classification runs only when some start fails.
     """
     n_starts, g, n_obs = tau.shape
     d, m = design.xt.shape[0], design.spec.m
@@ -159,16 +174,39 @@ def _m_kernel(design: _Design, tau: np.ndarray) -> _Update:
     pi = weight / n_obs
     # Re-normalize against accumulated rounding so the invariant checks pass.
     pi /= pi.sum(axis=-1, keepdims=True)
-    coef = np.zeros(rhs.shape)
-    for components, width in design.groups:
-        block = rhs[:, components, :width]
-        coef[:, components, :width] = _stacked(np.linalg.solve, block.shape,
-                                               gram[:, components, :width, :width], block)
-    singular = ~np.all(np.isfinite(coef), axis=(-2, -1))
+    if len(design.groups) == 1:            # one order: every component uses all d regressors
+        coef = _stacked(np.linalg.solve, rhs.shape, gram, rhs)
+    else:
+        coef = np.zeros(rhs.shape)
+        for components, width in design.groups:
+            block = rhs[:, components, :width]
+            coef[:, components, :width] = _stacked(np.linalg.solve, block.shape,
+                                                   gram[:, components, :width, :width], block)
     resid = stacked_residuals(coef, design.xt, design.yt)
-    omega = (resid * tau[:, :, None, :]) @ resid.swapaxes(-1, -2)
+    omega = np.multiply(resid, tau[:, :, None, :], out=scratch) @ resid.swapaxes(-1, -2)
     omega /= weight[..., None, None]
-    omega = 0.5 * (omega + omega.swapaxes(-1, -2))
+    omega += omega.swapaxes(-1, -2)
+    omega *= 0.5
+    try:
+        min_eig = np.linalg.eigvalsh(omega)[..., 0]
+        chol = np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.isfinite(coef).all() and (min_eig >= COLLAPSE_EIGENVALUE).all():
+            return _Update(pi, coef, resid, omega, chol, [None] * n_starts)
+    return _Update(pi, coef, resid, omega, *_classify_failures(coef, omega))
+
+
+def _classify_failures(coef: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, list]:
+    """Cholesky factors and per-start errors of an M-step in which some start failed.
+
+    Each slice is classified on its own: failing slices of the stacked
+    ``np.linalg`` calls come back NaN, and collapsed or non-finite covariances
+    are replaced by the identity before factorisation.
+    """
+    m = omega.shape[-1]
+    singular = ~np.all(np.isfinite(coef), axis=(-2, -1))
     finite = np.all(np.isfinite(omega), axis=(-2, -1))
     eye = np.eye(m)
     min_eig = _stacked(np.linalg.eigvalsh, omega.shape[:-1],
@@ -178,7 +216,7 @@ def _m_kernel(design: _Design, tau: np.ndarray) -> _Update:
     chol = _stacked(np.linalg.cholesky, omega.shape,
                     np.where(collapsed[..., None, None], eye, omega))
     not_pd = ~np.all(np.isfinite(chol), axis=(-2, -1))
-    errors = [None] * n_starts
+    errors = [None] * omega.shape[0]
     failed = singular | collapsed
     for s in np.flatnonzero(failed.any(axis=1) | not_pd.any(axis=1)):
         if failed[s].any():
@@ -188,23 +226,26 @@ def _m_kernel(design: _Design, tau: np.ndarray) -> _Update:
         else:
             k = int(np.argmax(not_pd[s]))
             errors[s] = NotPositiveDefiniteError(f"omega[{k}] is not positive definite")
-    return _Update(pi, coef, resid, omega, chol, errors)
+    return chol, errors
 
 
 def _e_kernel(log_pi: np.ndarray, resid: np.ndarray, chol: np.ndarray, p: int):
     """Responsibilities (S, g, N), log-likelihoods (S,) and per-start errors of S starts.
 
     A start whose component densities all underflow at some observation fails
-    with :class:`DensityUnderflowError` naming the first such time index.
+    with :class:`DensityUnderflowError` naming the first such time index; the
+    rows are searched only when some start's log-likelihood is non-finite.
     """
     log_joint = gaussian_log_densities(resid, chol)
     log_joint += log_pi[..., None]
     row_loglik, tau = log_normalise(log_joint, axis=1)
-    bad = ~np.isfinite(row_loglik)
+    loglik = row_loglik.sum(axis=-1)
     errors = [None] * len(log_pi)
-    for s in np.flatnonzero(bad.any(axis=1)):
-        errors[s] = DensityUnderflowError(int(np.argmax(bad[s])) + p)
-    return row_loglik.sum(axis=-1), tau, errors
+    if not np.isfinite(loglik).all():
+        bad = ~np.isfinite(row_loglik)
+        for s in np.flatnonzero(bad.any(axis=1)):
+            errors[s] = DensityUnderflowError(int(np.argmax(bad[s])) + p)
+    return loglik, tau, errors
 
 
 def _freeze(spec: ModelSpec, pi, coef, omega) -> MvarParameters:
@@ -314,34 +355,38 @@ def _lockstep_em(design: _Design, tau0: np.ndarray, max_iter: int, tol: float) -
     outcomes = [_StartOutcome(trace=[]) for _ in range(tau0.shape[0])]
     rows = np.arange(tau0.shape[0])        # outcome index of each batch row
     tau = tau0
+    scratch = np.empty((*tau0.shape[:2], design.spec.m, tau0.shape[2]))
 
     def drop_failed(errors):
-        ok = np.array([e is None for e in errors])
-        for row in np.flatnonzero(~ok):
-            outcomes[rows[row]].error = errors[row]
-        return ok
+        """Record the errors of failed rows; the surviving rows, or None if none failed."""
+        if all(e is None for e in errors):
+            return None
+        for row, error in enumerate(errors):
+            if error is not None:
+                outcomes[rows[row]].error = error
+        return [row for row, error in enumerate(errors) if error is None]
 
     for iteration in range(max_iter + 1):
-        update = _m_kernel(design, tau)
+        update = _m_kernel(design, tau, scratch[:rows.size])
         ok = drop_failed(update.errors)
-        if not ok.all():
-            update, rows = update.select(np.flatnonzero(ok)), rows[ok]
+        if ok is not None:
+            update, rows = update.select(ok), rows[ok]
             if rows.size == 0:
                 break
         loglik, tau, errors = _e_kernel(np.log(update.pi), update.resid, update.chol, p)
         ok = drop_failed(errors)
-        done = np.zeros(rows.size, dtype=bool) if iteration < max_iter else ok.copy()
-        for row in np.flatnonzero(ok):
+        keep = []
+        for row in (range(rows.size) if ok is None else ok):
             out = outcomes[rows[row]]
             out.trace.append(float(loglik[row]))
-            if iteration > 0 and abs(out.trace[-1] - out.trace[-2]) < tol:
-                out.converged = done[row] = True
-            if done[row]:
+            out.converged = iteration > 0 and abs(out.trace[-1] - out.trace[-2]) < tol
+            if out.converged or iteration == max_iter:
                 out.iterations = iteration
                 out.pi, out.coef, out.omega = update.pi[row], update.coef[row], update.omega[row]
                 out.tau = tau[row]
-        keep = ok & ~done
-        if not keep.all():
+            else:
+                keep.append(row)
+        if len(keep) < rows.size:
             tau, rows = tau[keep], rows[keep]
             if rows.size == 0:
                 break
@@ -366,7 +411,11 @@ def em_fit(
     ``converged=False``, not an error. Starts that fail (a singular or
     collapsed component, a covariance without a Cholesky factor, density
     underflow) leave the batch while the others continue; if every start
-    fails, the error of the last start is raised. Parameters and
+    fails, the error of the last start is raised. The winner is the start of
+    lowest index among those whose final log-likelihood lies within a relative
+    ``WINNER_TIE_RTOL`` of the best. Starts that reach one mode stop apart by
+    rounding and by where the ``tol`` test caught them, so a strict maximum
+    would let summation order pick the reported fit. Parameters and
     responsibilities are validated once, for the winning start. Components of
     the returned fit are ordered by descending mixing weight (ties broken
     lexicographically on the intercepts) to fix label switching.
@@ -380,12 +429,11 @@ def em_fit(
     tau0 = np.stack([np.random.default_rng(ss).dirichlet(np.ones(spec.g), size=n_scored).T
                      for ss in streams])
     outcomes = _lockstep_em(design, tau0, max_iter, tol)
-    best = None
-    for out in outcomes:
-        if out.error is None and (best is None or out.trace[-1] > best.trace[-1]):
-            best = out
-    if best is None:
+    finished = [out for out in outcomes if out.error is None]
+    if not finished:
         raise outcomes[-1].error
+    top = max(out.trace[-1] for out in finished)
+    best = next(out for out in finished if top - out.trace[-1] <= WINNER_TIE_RTOL * abs(top))
     params = _freeze(spec, best.pi, best.coef, best.omega)
     params, tau = _canonicalize(params, best.tau.T)
     loglik = best.trace[-1]

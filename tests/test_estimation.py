@@ -20,7 +20,7 @@ from mvarkit import (
     select_order,
     simulate,
 )
-from mvarkit.estimation import _canonicalize, _Design, _lockstep_em
+from mvarkit.estimation import WINNER_TIE_RTOL, _canonicalize, _Design, _lockstep_em, _m_kernel
 from conftest import make_ref_params, random_stable_params
 from oracles import naive_responsibilities, wls_explicit
 
@@ -182,6 +182,27 @@ class TestMStep:
             m_step(series, Responsibilities(tau), spec)
         assert err.value.component == 0
 
+    def test_collapse_reports_the_covariance_eigenvalue(self):
+        # start 0's component 1 sees 20 near-identical rows (variance ~1e-16); start 1 is healthy
+        rng = np.random.default_rng(11)
+        y = rng.normal(size=(40, 2))
+        y[20:] = [3.0, 1.0] + 1e-8 * rng.normal(size=(20, 2))
+        spec = ModelSpec(2, 2, (0, 0))
+        tau = np.stack([[np.r_[np.ones(20), np.zeros(20)], np.r_[np.zeros(20), np.ones(20)]],
+                        rng.dirichlet(np.ones(2), size=40).T])
+        update = _m_kernel(_Design(SeriesMatrix(y), spec), tau)
+        error = update.errors[0]
+        assert isinstance(error, ComponentCollapseError) and error.component == 1
+        assert 0.0 < error.eigenvalue < 1e-12
+        assert error.eigenvalue == np.linalg.eigvalsh(update.omega[0, 1])[0]
+        assert update.errors[1] is None
+
+    def test_non_finite_responsibilities_rejected(self):
+        tau = np.column_stack([np.full(39, 0.5), np.full(39, 0.5)])
+        tau[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Responsibilities(tau)
+
 
 class TestEmFit:
     def test_g1_recovers_ols(self):
@@ -325,15 +346,52 @@ class TestLockstep:
             assert outcomes[j].trace == _lockstep_em(design, tau0[j:j + 1], 500, 1e-8)[0].trace
 
     def test_fit_survives_collapsing_starts(self):
-        # 25 identical values among 200 normal draws: some starts collapse onto the tie
+        # 25 identical values among 200 normal draws: starts 0, 1 and 5 collapse onto the
+        # tie after hundreds of healthy iterations, and their batch mates run on unchanged
         y = np.concatenate([np.random.default_rng(0).normal(size=200), np.full(25, 2.0)])
         series, spec = SeriesMatrix(y[:, None]), ModelSpec(2, 1, (0, 0))
-        outcomes = _lockstep_em(_Design(series, spec), dirichlet_starts(spec, series.n, 0, 6),
-                                500, 1e-8)
+        design = _Design(series, spec)
+        tau0 = dirichlet_starts(spec, series.n, 0, 6)
+        outcomes = _lockstep_em(design, tau0, 500, 1e-8)
         failed = [isinstance(o.error, ComponentCollapseError) for o in outcomes]
-        assert any(failed) and not all(failed)
+        assert failed == [True, True, False, False, False, True]
+        assert all(len(outcomes[j].trace) > 100 for j in (0, 1, 5))
+        for j, out in enumerate(outcomes):
+            alone = _lockstep_em(design, tau0[j:j + 1], 500, 1e-8)[0]
+            assert alone.trace == out.trace and str(alone.error) == str(out.error)
+            if not failed[j]:
+                for field in ("pi", "coef", "omega", "tau"):
+                    assert np.array_equal(getattr(alone, field), getattr(out, field))
         report = em_fit(series, spec, InitStrategy(n_starts=6, seed=0))
         assert report.loglik == max(o.trace[-1] for o in outcomes if o.error is None)
+
+    def test_underflowing_start_leaves_batch_mates_unchanged(self):
+        # Start 1 gives the two far outliers no weight, so its first fit has sd ~1e-3 and
+        # both component densities of t=50 underflow; the other starts absorb the outliers.
+        y = np.random.default_rng(3).normal(scale=1e-3, size=200)
+        y[50], y[150] = 1e152, 2e152
+        series, spec = SeriesMatrix(y[:, None]), ModelSpec(2, 1, (0, 0))
+        design = _Design(series, spec)
+        tau0 = dirichlet_starts(spec, series.n, 1, 4)
+        tau0[1][:, [50, 150]] = 0.0
+        together = _lockstep_em(design, tau0, 500, 1e-8)
+        assert isinstance(together[1].error, DensityUnderflowError) and together[1].error.t == 50
+        for j in (0, 2, 3):
+            alone = _lockstep_em(design, tau0[j:j + 1], 500, 1e-8)[0]
+            assert together[j].error is None and together[j].converged
+            assert alone.trace == together[j].trace
+            for field in ("pi", "coef", "omega", "tau"):
+                assert np.array_equal(getattr(alone, field), getattr(together[j], field))
+
+    def test_tied_starts_resolve_to_the_lowest_index(self, ref_params, ref_data):
+        # seed 3: both starts reach one mode, start 1 ends 2.3e-9 above start 0
+        spec = ref_params.spec
+        outcomes = _lockstep_em(_Design(ref_data, spec),
+                                dirichlet_starts(spec, ref_data.n - spec.p, 3, 2), 500, 1e-8)
+        low, high = (out.trace[-1] for out in outcomes)
+        assert low < high and high - low <= WINNER_TIE_RTOL * abs(high)
+        report = em_fit(ref_data, spec, InitStrategy(n_starts=2, seed=3))
+        assert report.loglik_trace.tolist() == outcomes[0].trace
 
     @pytest.mark.parametrize("value, orders, error", [
         (0.0, (1, 1), SingularComponentError),     # regressors (1, 0): singular normal equations

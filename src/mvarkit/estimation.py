@@ -58,7 +58,6 @@ from .model import (
 
 ROW_SUM_TOL = 1e-10
 COLLAPSE_EIGENVALUE = 1e-12
-WINNER_TIE_RTOL = 1e-12     # final log-likelihoods this close to the best count as tied
 
 
 @dataclass(frozen=True)
@@ -174,14 +173,11 @@ def _m_kernel(design: _Design, tau: np.ndarray, scratch: np.ndarray | None = Non
     pi = weight / n_obs
     # Re-normalize against accumulated rounding so the invariant checks pass.
     pi /= pi.sum(axis=-1, keepdims=True)
-    if len(design.groups) == 1:            # one order: every component uses all d regressors
-        coef = _stacked(np.linalg.solve, rhs.shape, gram, rhs)
-    else:
-        coef = np.zeros(rhs.shape)
-        for components, width in design.groups:
-            block = rhs[:, components, :width]
-            coef[:, components, :width] = _stacked(np.linalg.solve, block.shape,
-                                                   gram[:, components, :width, :width], block)
+    coef = np.zeros(rhs.shape)
+    for components, width in design.groups:
+        block = rhs[:, components, :width]
+        coef[:, components, :width] = _stacked(np.linalg.solve, block.shape,
+                                               gram[:, components, :width, :width], block)
     resid = stacked_residuals(coef, design.xt, design.yt)
     omega = np.multiply(resid, tau[:, :, None, :], out=scratch) @ resid.swapaxes(-1, -2)
     omega /= weight[..., None, None]
@@ -400,7 +396,7 @@ def em_fit(
     max_iter: int = 500,
     tol: float = 1e-8,
 ) -> FitReport:
-    """Fit by EM with random multi-start, keeping the best final log-likelihood.
+    """Fit by EM with random multi-start, keeping a start at the best final log-likelihood.
 
     All starts run in lockstep through one batched EM loop (see
     ``_lockstep_em``). Each start draws its initial responsibilities from its
@@ -412,10 +408,11 @@ def em_fit(
     collapsed component, a covariance without a Cholesky factor, density
     underflow) leave the batch while the others continue; if every start
     fails, the error of the last start is raised. The winner is the start of
-    lowest index among those whose final log-likelihood lies within a relative
-    ``WINNER_TIE_RTOL`` of the best. Starts that reach one mode stop apart by
-    rounding and by where the ``tol`` test caught them, so a strict maximum
-    would let summation order pick the reported fit. Parameters and
+    lowest index among those whose final log-likelihood lies within ``tol`` of
+    the best. Starts that reach one mode stop apart by rounding and by where
+    the ``tol`` test caught them; a strict maximum would let summation order
+    pick the reported fit, and the tie window makes such swaps rare (a start
+    at the window's edge can still flip). Parameters and
     responsibilities are validated once, for the winning start. Components of
     the returned fit are ordered by descending mixing weight (ties broken
     lexicographically on the intercepts) to fix label switching.
@@ -433,7 +430,7 @@ def em_fit(
     if not finished:
         raise outcomes[-1].error
     top = max(out.trace[-1] for out in finished)
-    best = next(out for out in finished if top - out.trace[-1] <= WINNER_TIE_RTOL * abs(top))
+    best = next(out for out in finished if top - out.trace[-1] <= tol)
     params = _freeze(spec, best.pi, best.coef, best.omega)
     params, tau = _canonicalize(params, best.tau.T)
     loglik = best.trace[-1]

@@ -59,12 +59,12 @@ from .portfolio import (
     MixtureNormal1D,
     PortfolioSolution,
     efficient_weights,
+    horizon_portfolio,
     markowitz_coefficients,
     mvp_weights,
     project,
     scalar_mixture_moments,
     two_step_portfolio,
-    variance_identity_check,
 )
 from .risk import RiskReport, crps_mixture, mixture_cdf, mixture_pdf, mixture_quantile, var_es
 from .simulation import RNG_ALGORITHM, SimulationConfig, SimulationResult, simulate, simulate_forward

@@ -28,7 +28,7 @@ from .forecasting import (
     predictive_two_step,
 )
 from .model import ForecastOrigin, ModelSpec, SeriesMatrix, is_stable
-from .portfolio import efficient_weights, mvp_weights, project
+from .portfolio import horizon_portfolio, project
 from .risk import var_es
 from .simulation import RNG_ALGORITHM, SimulationConfig, simulate
 
@@ -226,14 +226,7 @@ def cmd_portfolio(args) -> int:
     model = mio.load_model(args.model)
     series = _load_series(args)
     origin = _origin_for(model.params, series)
-    mix = (predictive_one_step if args.horizon == 1 else predictive_two_step)(
-        model.params, origin)
-    mom = mixture_moments(mix)
-    if args.mvp:
-        sol = mvp_weights(mom.mean, mom.cov, horizon=args.horizon)
-    else:
-        sol = efficient_weights(mom.mean, mom.cov, args.target, horizon=args.horizon)
-    return_mix = project(mix, sol.weights)
+    sol, return_mix = horizon_portfolio(model.params, origin, args.horizon, args.target)
     payload = {
         "kind": sol.kind,
         "horizon": sol.horizon,

@@ -15,9 +15,8 @@ import numpy as np
 
 from .estimation import FitReport, InitStrategy, em_fit
 from .exceptions import MvarError
-from .forecasting import mixture_moments, predictive_one_step
 from .model import ForecastOrigin, ModelSpec, SeriesMatrix
-from .portfolio import mvp_weights, project, two_step_portfolio, scalar_mixture_moments
+from .portfolio import horizon_portfolio, scalar_mixture_moments
 from .risk import crps_mixture, var_es
 
 
@@ -66,12 +65,7 @@ def _score_row(model_id, horizon, return_mix, realized, alpha) -> ComparisonRow:
 
 def mvp_forecast_mixtures(params, origin: ForecastOrigin):
     """Return mixtures of the h=1 and h=2 minimum variance portfolios at an origin."""
-    mix1 = predictive_one_step(params, origin)
-    mom1 = mixture_moments(mix1)
-    sol1 = mvp_weights(mom1.mean, mom1.cov, horizon=1)
-    rmix1 = project(mix1, sol1.weights)
-    sol2, rmix2 = two_step_portfolio(params, origin)
-    return (sol1, rmix1), (sol2, rmix2)
+    return horizon_portfolio(params, origin, 1), horizon_portfolio(params, origin, 2)
 
 
 def evaluate_holdout(

@@ -318,11 +318,11 @@ def _canonical_permutation(pi: np.ndarray, theta0: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _canonicalize(params: MvarParameters, tau: np.ndarray) -> tuple[MvarParameters, np.ndarray]:
-    order = _canonical_permutation(params.pi, params.theta0)
-    if np.array_equal(order, np.arange(params.spec.g)):
-        return params, tau
-    return params.permuted(order), tau[:, order]
+def _canonicalize(spec: ModelSpec, pi, coef, omega, tau) -> tuple[MvarParameters, np.ndarray]:
+    """Parameters and (N, g) responsibilities of one start in canonical label order, validated once."""
+    order = _canonical_permutation(pi, coef[:, 0])
+    spec = ModelSpec(spec.g, spec.m, tuple(spec.orders[k] for k in order))
+    return _freeze(spec, pi[order], coef[order], omega[order]), tau[:, order]
 
 
 @dataclass
@@ -431,8 +431,7 @@ def em_fit(
         raise outcomes[-1].error
     top = max(out.trace[-1] for out in finished)
     best = next(out for out in finished if top - out.trace[-1] <= tol)
-    params = _freeze(spec, best.pi, best.coef, best.omega)
-    params, tau = _canonicalize(params, best.tau.T)
+    params, tau = _canonicalize(spec, best.pi, best.coef, best.omega, best.tau.T)
     loglik = best.trace[-1]
     d = spec.n_free_parameters
     return FitReport(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPositiveDefiniteError
-from .model import ForecastOrigin, MvarParameters, stacked_coefficients
+from .model import ForecastOrigin, MvarParameters, _regressor_row, stacked_coefficients
 from .simulation import simulate_forward
 
 MOMENT_PSD_TOL = 1e-10
@@ -103,13 +103,6 @@ def _has_cholesky(cov: np.ndarray) -> bool:
     return True
 
 
-def _regressors(params: MvarParameters, origin: ForecastOrigin) -> np.ndarray:
-    """Regressor row ``x = (1, Y_t', ..., Y_{t-p+1}')`` of the origin, matching the rows of
-    :func:`~mvarkit.model.stacked_coefficients`."""
-    origin.check_dimensions(params.spec)
-    return np.concatenate([[1.0], origin.history[::-1].ravel()])
-
-
 def predictive_one_step(params: MvarParameters, origin: ForecastOrigin) -> MixtureNormalMV:
     """One-step predictive mixture: g components with the model's own weights.
 
@@ -117,7 +110,8 @@ def predictive_one_step(params: MvarParameters, origin: ForecastOrigin) -> Mixtu
     product ``x' B_k`` of the origin's regressor row with the stacked
     coefficients, and covariance ``omega[k]``.
     """
-    means = _regressors(params, origin) @ stacked_coefficients(params)
+    origin.check_dimensions(params.spec)
+    means = _regressor_row(origin.history) @ stacked_coefficients(params)
     return MixtureNormalMV(
         weights=params.pi, means=means, covs=params.omega,
         horizon=1, origin_time=origin.t,
@@ -141,9 +135,10 @@ def predictive_two_step(params: MvarParameters, origin: ForecastOrigin) -> Mixtu
     Component ``j = k*g + l`` holds the pair. The ordering matters: in general
     the (k, l) and (l, k) components differ.
     """
+    origin.check_dimensions(params.spec)
     g, m, p = params.spec.g, params.spec.m, params.spec.p
     coef = stacked_coefficients(params)
-    x = _regressors(params, origin)
+    x = _regressor_row(origin.history)
     one_step = x @ coef
     x[1 + m:] = x[1:1 + m * (p - 1)]   # lag i+1 of Y_{t+2} is lag i of Y_{t+1}
     x[1:1 + m] = 0.0                   # Y_{t+1} enters through theta[k,0] @ one_step[l]

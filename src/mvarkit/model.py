@@ -306,8 +306,14 @@ def stacked_residuals(coef: np.ndarray, xt: np.ndarray, yt: np.ndarray) -> np.nd
     return np.subtract(yt, fitted, out=fitted)
 
 
+def _regressor_row(history: np.ndarray) -> np.ndarray:
+    """Row ``x = (1, Y_t', ..., Y_{t-p+1}')`` of a (p, m) history, oldest first: ``x' B_k`` is
+    component ``k``'s conditional mean of the next observation (:func:`stacked_coefficients`)."""
+    return np.concatenate([[1.0], history[::-1].ravel()])
+
+
 def component_residual(params: MvarParameters, series: SeriesMatrix, t: int, k: int) -> np.ndarray:
-    """Residual of component ``k`` at row ``t``: ``Y_t - theta0[k] - sum_i theta[k,i-1] @ Y_{t-i}``.
+    """Residual of component ``k`` at row ``t``: ``Y_t - x_t' B_k`` for the regressor row ``x_t``.
 
     ``t`` is a 0-based row index and must leave ``p`` lags available
     (``p <= t < n``); ``k`` is a 0-based component index.
@@ -322,10 +328,7 @@ def component_residual(params: MvarParameters, series: SeriesMatrix, t: int, k: 
     if not 0 <= k < spec.g:
         raise TimeIndexError(f"component k={k} outside range [0, {spec.g - 1}]")
     y = series.values
-    mean = params.theta0[k].copy()
-    for i in range(1, spec.orders[k] + 1):
-        mean += params.theta[k, i - 1] @ y[t - i]
-    return y[t] - mean
+    return y[t] - _regressor_row(y[t - spec.p: t]) @ stacked_coefficients(params)[k]
 
 
 def gaussian_log_densities(resid: np.ndarray, chol: np.ndarray) -> np.ndarray:

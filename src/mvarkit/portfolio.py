@@ -4,8 +4,11 @@ A linear combination of a multivariate Gaussian mixture is a univariate
 Gaussian mixture with the same weights, so portfolio-return distributions are
 exact projections of the predictive law. Minimum-variance and efficient
 weights come from the classical two-fund frontier applied to the conditional
-moments, with short selling allowed. All covariance inverses are applied via
-Cholesky solves; explicit matrix inverses appear only in test oracles.
+moments, with short selling allowed. :func:`horizon_portfolio` is the one
+path from a model and an origin to a portfolio: predictive mixture, its
+moments, the Markowitz solve, then the projection. All covariance inverses
+are applied via Cholesky solves; explicit matrix inverses appear only in test
+oracles.
 """
 
 from __future__ import annotations
@@ -123,10 +126,11 @@ def project(mix: MixtureNormalMV, w) -> MixtureNormal1D:
 
 def scalar_mixture_moments(mix: MixtureNormal1D) -> tuple[float, float]:
     """Mean and variance of a univariate mixture:
-    mean = sum w mu, var = sum w sd^2 + sum w mu^2 - mean^2."""
+    mean = sum w mu, var = sum w (sd^2 + (mu - mean)^2), centred because the
+    raw form ``sum w sd^2 + sum w mu^2 - mean^2`` cancels for means far from zero."""
     w = mix.weights
     mean = float(w @ mix.means)
-    var = float(w @ (mix.sds ** 2) + w @ (mix.means ** 2) - mean ** 2)
+    var = float(w @ (mix.sds ** 2 + (mix.means - mean) ** 2))
     return mean, var
 
 
@@ -195,21 +199,31 @@ def efficient_weights(mean, cov, target: float, horizon: int = 1) -> PortfolioSo
     )
 
 
-def variance_identity_check(
-    params: MvarParameters, origin: ForecastOrigin, w
-) -> tuple[float, float, float]:
-    """Both routes to the one-step portfolio variance and their gap.
+def horizon_portfolio(
+    params: MvarParameters,
+    origin: ForecastOrigin,
+    horizon: int,
+    target: float | None = None,
+) -> tuple[PortfolioSolution, MixtureNormal1D]:
+    """Markowitz solution against the conditional moments at ``horizon`` 1 or 2.
 
-    lhs: quadratic form of w in the one-step conditional covariance.
-    rhs: variance of the projected one-step return mixture.
-    The two are algebraically identical; the gap is rounding only.
+    Computes (mu_{t+h}, Omega_{t+h}) from the predictive mixture, solves the
+    minimum-variance portfolio (``target=None``) or the efficient portfolio
+    for ``target``, and projects the mixture onto the solved weights to get
+    the return distribution at that horizon.
     """
-    w = np.asarray(w, dtype=float)
-    mix = predictive_one_step(params, origin)
-    cond = mixture_moments(mix)
-    lhs = float(w @ cond.cov @ w)
-    _, rhs = scalar_mixture_moments(project(mix, w))
-    return lhs, rhs, abs(lhs - rhs)
+    if horizon == 1:
+        mix = predictive_one_step(params, origin)
+    elif horizon == 2:
+        mix = predictive_two_step(params, origin)
+    else:
+        raise ValueError(f"analytic portfolios cover horizons 1 and 2, got {horizon}")
+    mom = mixture_moments(mix)
+    if target is None:
+        sol = mvp_weights(mom.mean, mom.cov, horizon=horizon)
+    else:
+        sol = efficient_weights(mom.mean, mom.cov, target, horizon=horizon)
+    return sol, project(mix, sol.weights)
 
 
 def two_step_portfolio(
@@ -217,17 +231,5 @@ def two_step_portfolio(
     origin: ForecastOrigin,
     target: float | None = None,
 ) -> tuple[PortfolioSolution, MixtureNormal1D]:
-    """Markowitz solution against the two-step conditional moments.
-
-    Computes (mu_{t+2}, Omega_{t+2}) from the g^2-component predictive
-    mixture, solves the minimum-variance portfolio (``target=None``) or the
-    efficient portfolio for ``target``, and projects the mixture onto the
-    solved weights to get the return distribution at horizon 2.
-    """
-    mix = predictive_two_step(params, origin)
-    mom = mixture_moments(mix)
-    if target is None:
-        sol = mvp_weights(mom.mean, mom.cov, horizon=2)
-    else:
-        sol = efficient_weights(mom.mean, mom.cov, target, horizon=2)
-    return sol, project(mix, sol.weights)
+    """The horizon-2 case of :func:`horizon_portfolio`."""
+    return horizon_portfolio(params, origin, 2, target)

@@ -2,9 +2,11 @@
 
 Each step draws a component label from the mixing weights, then applies that
 component's autoregression plus a Gaussian innovation through the lower
-Cholesky factor of its covariance. Paths are bit-reproducible given the seed;
-the generator algorithm is a package constant (``RNG_ALGORITHM``) recorded in
-simulation metadata.
+Cholesky factor of its covariance. :func:`simulate` (one path, all labels
+drawn before all innovations) and :func:`simulate_forward` (many paths, drawn
+step by step) differ only in their draws and run the same step kernel. Paths
+are bit-reproducible given the seed; the generator algorithm is a package
+constant (``RNG_ALGORITHM``) recorded in simulation metadata.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError
-from .model import MvarParameters, SeriesMatrix, stacked_coefficients
+from .model import MvarParameters, SeriesMatrix, _regressor_row, stacked_coefficients
 
 #: numpy's default bit generator; per-start/per-chunk substreams are spawned
 #: from a SeedSequence, which is the documented splittable-stream mechanism.
@@ -59,31 +61,62 @@ class SimulationResult:
     rng_algorithm: str = RNG_ALGORITHM
 
 
+def _run_steps(params: MvarParameters, history: np.ndarray, draws, out: np.ndarray) -> None:
+    """Advance ``out.shape[1]`` paths from the (p, m) ``history``, writing step ``s`` to ``out[s]``.
+
+    ``draws`` yields per step the (n_paths,) labels and (n_paths, m) standard
+    normal innovations. Each step is one matrix product: the regressor rows
+    ``x = (1, Y_{t-1}', ..., Y_{t-p}', eps')`` of all paths times the block
+    matrix ``W = [W_1 ... W_g]``, where ``W_k`` is the stacked coefficients
+    ``B_k`` over ``chol_k'``, so ``x' W_k`` is component ``k``'s draw; each
+    path keeps the block of its own label.
+    """
+    spec = params.spec
+    g, m, p = spec.g, spec.m, spec.p
+    n_paths = out.shape[1]
+    d = 1 + m * p
+    blocks = np.concatenate(
+        [stacked_coefficients(params), params.cholesky_factors().transpose(0, 2, 1)], axis=1
+    )
+    w = np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(d + m, g * m)
+    x = np.empty((n_paths, d + m))
+    x[:, :d] = _regressor_row(history)
+    # views made once: slicing in the loop costs as much as one path's arithmetic
+    x_eps, lag1, older, newer = x[:, d:], x[:, 1:1 + m], x[:, 1 + m:d], x[:, 1:d - m]
+    cand = np.empty((n_paths, g * m))
+    # row i*g + k of rows_of_cand is path i's draw from component k
+    rows_of_cand = cand.reshape(-1, m)
+    offsets = g * np.arange(n_paths)
+    rows = np.empty(n_paths, dtype=np.intp)
+    for step, (labels, eps) in enumerate(draws):
+        x_eps[...] = eps
+        np.matmul(x, w, out=cand)
+        np.add(labels, offsets, out=rows)
+        new = out[step]
+        np.take(rows_of_cand, rows, axis=0, out=new, mode="clip")
+        if p > 0:   # the new draw becomes lag 1, the oldest lag drops out
+            older[...] = newer
+            lag1[...] = new
+
+
 def simulate(config: SimulationConfig) -> SimulationResult:
     """Generate a path of length ``config.n`` after discarding ``config.burn_in`` steps.
 
     Draw order is fixed (all labels first, then all innovations) so outputs are
-    reproducible bit-for-bit across runs with the same config.
+    reproducible bit-for-bit across runs with the same config. The path starts
+    from ``config.initial``, or from zeros.
     """
     params = config.params
     spec = params.spec
-    g, m, p = spec.g, spec.m, spec.p
     rng = np.random.default_rng(config.seed)
     total = config.burn_in + config.n
-    labels = rng.choice(g, size=total, p=params.pi)
-    eps = rng.standard_normal((total, m))
-    chol = params.cholesky_factors()
-    ys = np.zeros((p + total, m))
-    if config.initial is not None:
-        ys[:p] = config.initial
-    for t in range(total):
-        k = labels[t]
-        mean = params.theta0[k].copy()
-        for i in range(1, spec.orders[k] + 1):
-            mean += params.theta[k, i - 1] @ ys[p + t - i]
-        ys[p + t] = mean + chol[k] @ eps[t]
+    labels = rng.choice(spec.g, size=total, p=params.pi)
+    eps = rng.standard_normal((total, spec.m))
+    history = np.zeros((spec.p, spec.m)) if config.initial is None else config.initial
+    ys = np.empty((total, 1, spec.m))
+    _run_steps(params, history, zip(labels[:, None], eps[:, None]), ys)
     return SimulationResult(
-        series=SeriesMatrix(ys[p + config.burn_in:]),
+        series=SeriesMatrix(ys[config.burn_in:, 0]),
         labels=labels[config.burn_in:].copy(),
         config=config,
     )
@@ -102,16 +135,11 @@ def simulate_forward(
     simulated steps with shape (n_paths, horizon, m). Used by Monte Carlo
     forecasting.
 
-    Each step is one matrix product. The regressor rows
-    ``x = (1, Y_{t-1}', ..., Y_{t-p}', eps')`` of all paths multiply the block
-    matrix ``W = [W_1 ... W_g]`` whose column block ``W_k`` is the stacked
-    coefficients ``B_k`` of :func:`~mvarkit.model.stacked_coefficients` over
-    ``chol_k'``, so ``x' W_k`` is component ``k``'s draw; each path keeps the
-    block of its own label. The draw order is fixed: per step,
-    ``rng.choice(g, n_paths, p=pi)`` for the labels, then
-    ``rng.standard_normal((n_paths, m))`` for the innovations. The result is a
-    transposed view of a step-major (horizon, n_paths, m) array, so
-    ``paths[:, -1, :]`` is one contiguous block.
+    The draw order is fixed: per step, ``rng.choice(g, n_paths, p=pi)`` for
+    the labels, then ``rng.standard_normal((n_paths, m))`` for the
+    innovations. The result is a transposed view of a step-major
+    (horizon, n_paths, m) array, so ``paths[:, -1, :]`` is one contiguous
+    block.
     """
     spec = params.spec
     g, m, p = spec.g, spec.m, spec.p
@@ -122,28 +150,9 @@ def simulate_forward(
         raise ValueError("history has non-finite entries")
     if horizon < 1 or n_paths < 1:
         raise ValueError("horizon and n_paths must be >= 1")
-    d = 1 + m * p
-    blocks = np.concatenate(
-        [stacked_coefficients(params), params.cholesky_factors().transpose(0, 2, 1)], axis=1
-    )
-    w = np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(d + m, g * m)
-    x = np.empty((n_paths, d + m))
-    x[:, 0] = 1.0
-    x[:, 1:d] = history[::-1].reshape(-1)
-    eps = np.empty((n_paths, m))
-    cand = np.empty((n_paths, g * m))
-    # row i*g + k of rows_of_cand is path i's draw from component k
-    rows_of_cand = cand.reshape(-1, m)
-    offsets = g * np.arange(n_paths)
+    eps = np.empty((n_paths, m))   # one buffer: the kernel copies each step's draw into x
+    draws = ((rng.choice(g, size=n_paths, p=params.pi), rng.standard_normal(out=eps))
+             for _ in range(horizon))
     out = np.empty((horizon, n_paths, m))
-    for step in range(horizon):
-        rows = rng.choice(g, size=n_paths, p=params.pi)
-        rng.standard_normal(out=eps)
-        x[:, d:] = eps
-        np.matmul(x, w, out=cand)
-        rows += offsets
-        np.take(rows_of_cand, rows, axis=0, out=out[step], mode="clip")
-        if p > 0:   # the new draw becomes lag 1, the oldest lag drops out
-            x[:, 1 + m:d] = x[:, 1:d - m]
-            x[:, 1:1 + m] = out[step]
+    _run_steps(params, history, draws, out)
     return out.transpose(1, 0, 2)

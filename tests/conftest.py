@@ -12,6 +12,10 @@ from mvarkit import (
     SeriesMatrix,
     SimulationConfig,
     is_stable,
+    mixture_moments,
+    predictive_one_step,
+    project,
+    scalar_mixture_moments,
     simulate,
 )
 
@@ -168,6 +172,20 @@ def stationary_origin(rng: np.random.Generator, params: MvarParameters):
         seed=int(rng.integers(2 ** 31)),
     )).series
     return ForecastOrigin.from_series(path, params.spec.p)
+
+
+def variance_routes(params: MvarParameters, origin, w) -> tuple[float, float, float]:
+    """Both routes to the one-step portfolio variance and their gap.
+
+    lhs: quadratic form of w in the one-step conditional covariance.
+    rhs: variance of the projected one-step return mixture.
+    The two are algebraically identical; the gap is rounding only.
+    """
+    w = np.asarray(w, dtype=float)
+    mix = predictive_one_step(params, origin)
+    lhs = float(w @ mixture_moments(mix).cov @ w)
+    _, rhs = scalar_mixture_moments(project(mix, w))
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def random_mixture1d(rng: np.random.Generator, max_components: int = 4) -> MixtureNormal1D:

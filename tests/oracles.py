@@ -202,6 +202,27 @@ def simulate_forward_loop(pi, theta0, theta, omega, history, horizon, n_paths, r
     return out
 
 
+def simulate_loop(theta0, theta, omega, labels, eps, initial):
+    """One path (len(labels), m) from pre-drawn labels and standard normal innovations.
+
+    Step t applies component ``labels[t]``'s recursion
+    ``theta0[k] + sum_i theta[k, i-1] @ y[t-i] + chol_k @ eps[t]`` to the
+    path so far, which starts from the (p, m) rows of ``initial`` (oldest
+    first); ``chol_k`` is a ``np.linalg.cholesky`` factor of ``omega[k]``.
+    """
+    theta0 = np.asarray(theta0, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    g, p, m = theta.shape[0], theta.shape[1], theta0.shape[1]
+    chol = [np.linalg.cholesky(np.asarray(omega[k], dtype=float)) for k in range(g)]
+    ys = np.vstack([np.asarray(initial, dtype=float).reshape(p, m), np.empty((len(labels), m))])
+    for t, k in enumerate(labels):
+        y = theta0[k] + chol[k] @ eps[t]
+        for i in range(1, p + 1):
+            y = y + theta[k, i - 1] @ ys[p + t - i]
+        ys[p + t] = y
+    return ys[p:]
+
+
 def companion_moments(pi, theta0, theta, omega, history, horizon):
     """Mean (m,) and covariance (m, m) of Y_{t+horizon} given ``history`` (p, m, oldest first).
 

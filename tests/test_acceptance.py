@@ -40,13 +40,13 @@ from mvarkit import (
     rolling_origin_crps,
     simulate,
     var_es,
-    variance_identity_check,
 )
 from conftest import (
     make_portfolio_mixture,
     make_ref_params,
     random_spd,
     random_stable_params,
+    variance_routes,
 )
 from oracles import bisect_quantile, crps_quadrature, es_quadrature, kron_spectral_radius
 
@@ -190,7 +190,7 @@ def test_criterion_5_portfolio_variance_identity():
         m = params.spec.m
         origin = ForecastOrigin(history=rng.normal(0.0, 1.5, size=(1, m)), t=0)
         w = rng.normal(size=m)
-        _, _, gap = variance_identity_check(params, origin, w)
+        _, _, gap = variance_routes(params, origin, w)
         worst = max(worst, gap)
     _report(5, "portfolio variance identity", worst < 1e-8,
             f"max |quadratic-form - mixture-variance| = {worst:.2e}")

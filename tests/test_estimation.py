@@ -20,7 +20,9 @@ from mvarkit import (
     select_order,
     simulate,
 )
+from mvarkit import estimation
 from mvarkit.estimation import _canonicalize, _Design, _lockstep_em, _m_kernel
+from mvarkit.model import stacked_coefficients
 from conftest import make_ref_params, random_stable_params
 from oracles import naive_responsibilities, wls_explicit
 
@@ -248,10 +250,23 @@ class TestEmFit:
         report = em_fit(ref_data, ref_params.spec, InitStrategy(n_starts=4, seed=2))
         assert report.params.pi[0] >= report.params.pi[1]
 
+    def test_relabelled_winner_validated_once(self, ref_params, ref_data, monkeypatch):
+        orders, built = [], []
+        canonical = estimation._canonical_permutation
+        monkeypatch.setattr(estimation, "_canonical_permutation",
+                            lambda pi, theta0: orders.append(canonical(pi, theta0)) or orders[-1])
+        validate = MvarParameters.__post_init__
+        monkeypatch.setattr(MvarParameters, "__post_init__",
+                            lambda self: built.append(self) or validate(self))
+        report = em_fit(ref_data, ref_params.spec, InitStrategy(n_starts=2, seed=0))
+        assert [list(order) for order in orders] == [[1, 0]]   # the winner needed a relabel
+        assert len(built) == 1 and built[0] is report.params
+
     def test_canonicalize_undoes_label_switch(self, ref_params):
         tau = np.tile([0.3, 0.7], (10, 1))
         flipped = ref_params.permuted([1, 0])
-        canon, canon_tau = _canonicalize(flipped, tau)
+        canon, canon_tau = _canonicalize(flipped.spec, flipped.pi, stacked_coefficients(flipped),
+                                         flipped.omega, tau)
         assert canon.allclose(ref_params, atol=0.0)
         assert np.allclose(canon_tau, tau[:, [1, 0]])
 

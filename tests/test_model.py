@@ -16,7 +16,7 @@ from mvarkit import (
     is_stable,
     log_likelihood,
 )
-from conftest import REF_THETA1, make_ref_params, random_stable_params
+from conftest import REF_THETA1, make_ref_params, random_spd, random_stable_params
 from oracles import kron_spectral_radius, naive_log_likelihood, naive_residual
 
 
@@ -110,13 +110,22 @@ class TestResidual:
         assert e[0] == pytest.approx(2.0, abs=1e-15)   # 3 - 0.5 * 2
 
     def test_matches_brute_force_oracle(self, ref_params, ref_path):
-        y = ref_path.values
-        mats = {0: [np.asarray(ref_params.theta[0, 0])], 1: [np.asarray(ref_params.theta[1, 0])]}
-        for t in (1, 7, 123, 499):
-            for k in (0, 1):
-                expected = naive_residual(ref_params.theta0[k], mats[k], y, t)
-                got = component_residual(ref_params, ref_path, t, k)
-                assert np.allclose(got, expected, atol=1e-14)
+        rng = np.random.default_rng(31)
+        cases = [(ref_params, ref_path, (1, 7, 123, 499))]
+        for orders in ((2, 1, 0), (0, 0)):   # mixed orders; p = 0
+            g, m = len(orders), 2
+            mats = [[rng.normal(0.0, 0.3, size=(m, m)) for _ in range(order)] for order in orders]
+            params = MvarParameters.from_component_lists(
+                ModelSpec(g, m, orders), np.full(g, 1.0 / g), rng.normal(size=(g, m)), mats,
+                [random_spd(rng, m) for _ in range(g)])
+            cases.append((params, SeriesMatrix(rng.normal(size=(40, m))), (params.spec.p, 17, 39)))
+        for params, series, times in cases:
+            for t in times:
+                for k, order in enumerate(params.spec.orders):
+                    mats = [np.asarray(params.theta[k, i]) for i in range(order)]
+                    expected = naive_residual(params.theta0[k], mats, series.values, t)
+                    got = component_residual(params, series, t, k)
+                    assert np.allclose(got, expected, atol=1e-14)
 
     def test_index_and_dimension_errors(self, ref_params, ref_path):
         with pytest.raises(TimeIndexError):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mvarkit import (
     ForecastOrigin,
     MixtureNormal1D,
     efficient_weights,
+    horizon_portfolio,
     markowitz_coefficients,
     mixture_cdf,
     mixture_moments,
@@ -16,7 +19,6 @@ from mvarkit import (
     scalar_mixture_moments,
     simulate_forward,
     two_step_portfolio,
-    variance_identity_check,
 )
 from conftest import (
     draw_mixture1d,
@@ -27,6 +29,7 @@ from conftest import (
     random_stable_params,
     regime_style_params,
     stationary_origin,
+    variance_routes,
 )
 from oracles import markowitz_explicit
 
@@ -109,6 +112,22 @@ class TestScalarMoments:
         assert var == pytest.approx(direct, abs=1e-15)
         assert np.sqrt(var) == pytest.approx(1.3173217220830147, abs=1e-12)
         assert np.sqrt(var) == pytest.approx(1.3173, abs=1e-2)
+
+    def test_variance_exact_far_from_zero(self):
+        # two close means at a large offset: the raw form w.sd^2 + w.mu^2 - mean^2
+        # loses every digit here (negative at 1e6)
+        eps = np.finfo(float).eps
+        for offset in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
+            mix = MixtureNormal1D(weights=[0.5, 0.5], means=[offset, offset + 1e-3],
+                                  sds=[1e-3, 1e-3], horizon=1, origin_time=0)
+            w, mu, sd = ([Fraction(float(v)) for v in a] for a in (mix.weights, mix.means, mix.sds))
+            mean = sum(wi * mi for wi, mi in zip(w, mu))
+            var = float(sum(wi * (si * si + (mi - mean) ** 2) for wi, mi, si in zip(w, mu, sd)))
+            got_mean, got_var = scalar_mixture_moments(mix)
+            assert got_mean == pytest.approx(float(mean), rel=2 * eps, abs=0.0)
+            # the weighted deviations sum to zero, so the rounded mean's error
+            # (<= eps*|mean|) enters the variance only squared
+            assert abs(got_var - var) <= (eps * offset) ** 2 + 8 * eps * var
 
     def test_variance_matches_sampling_oracle(self):
         mix = make_portfolio_mixture()
@@ -226,12 +245,12 @@ class TestVarianceIdentity:
         rng = np.random.default_rng(27)
         params = random_stable_params(rng, g=1, m=3, p=1)
         o = ForecastOrigin(history=rng.normal(size=(1, 3)), t=0)
-        lhs, rhs, gap = variance_identity_check(params, o, rng.normal(size=3))
+        lhs, rhs, gap = variance_routes(params, o, rng.normal(size=3))
         assert gap < 1e-12
 
     def test_reference_model(self, ref_params, origin):
-        _, _, gap = variance_identity_check(ref_params, origin,
-                                            np.array([0.9, -0.4, 0.5]))
+        _, _, gap = variance_routes(ref_params, origin,
+                                    np.array([0.9, -0.4, 0.5]))
         assert gap < 1e-10
 
     def test_random_sweep(self):
@@ -243,7 +262,7 @@ class TestVarianceIdentity:
             m = params.spec.m
             o = ForecastOrigin(history=rng.normal(size=(1, m)), t=0)
             w = rng.normal(size=m)
-            _, _, gap = variance_identity_check(params, o, w)
+            _, _, gap = variance_routes(params, o, w)
             worst = max(worst, gap)
         assert worst < 1e-8
 
@@ -259,6 +278,11 @@ class TestTwoStepPortfolio:
         assert np.allclose(sol.weights, direct.weights, atol=1e-12)
         assert rmix.n_components == 1
         assert sol.horizon == 2
+
+    def test_only_analytic_horizons(self, ref_params, origin):
+        for horizon in (0, 3):
+            with pytest.raises(ValueError, match="horizons 1 and 2"):
+                horizon_portfolio(ref_params, origin, horizon)
 
     def test_mvp_flag_default(self, ref_params, origin):
         sol, rmix = two_step_portfolio(ref_params, origin)

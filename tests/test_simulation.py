@@ -11,7 +11,7 @@ from mvarkit import (
     simulate_forward,
 )
 from conftest import make_ref_params, random_spd
-from oracles import simulate_forward_loop
+from oracles import simulate_forward_loop, simulate_loop
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +156,33 @@ def test_forward_simulation_matches_per_path_loop(case):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
     again = simulate_forward(params, history, horizon, n_paths, np.random.default_rng(5))
     assert np.array_equal(got, again)
+
+
+SIMULATE_CASES = {
+    "mvar_3_210_m2": (lambda: mixed_order_params(5, 3, 2, (2, 1, 0)), False, 0),
+    "orders_00": (lambda: mixed_order_params(6, 2, 2, (0, 0)), False, 0),
+    "g1": (lambda: mixed_order_params(7, 1, 3, (2,)), False, 0),
+    "initial_and_burn_in": (lambda: mixed_order_params(8, 2, 3, (2, 1)), True, 50),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_matches_per_step_loop(case):
+    make, with_initial, burn_in = SIMULATE_CASES[case]
+    params = make()
+    g, m, p = params.spec.g, params.spec.m, params.spec.p
+    initial = np.random.default_rng(98).normal(size=(p, m)) if with_initial else None
+    config = SimulationConfig(params=params, n=300, burn_in=burn_in, seed=12, initial=initial)
+    result = simulate(config)
+    # simulate's documented draw order: all labels, then all innovations
+    rng = np.random.default_rng(12)
+    labels = rng.choice(g, size=burn_in + 300, p=params.pi)
+    eps = rng.standard_normal((burn_in + 300, m))
+    want = simulate_loop(params.theta0, params.theta, params.omega, labels, eps,
+                         np.zeros((p, m)) if initial is None else initial)[burn_in:]
+    assert np.array_equal(result.labels, labels[burn_in:])
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(result.series.values - want)) <= 1e-12 * scale
 
 
 def test_forward_simulation_rejects_non_finite_history(ref_params):

@@ -1,10 +1,10 @@
 """Mixture vector autoregression toolkit.
 
 End-to-end workflow: EM estimation with multi-start initialization, stability
-analysis through companion matrices, analytic predictive mixtures at horizons
-1-2 (Monte Carlo beyond), Markowitz portfolio construction from conditional
-moments, and mixture-based risk measures (VaR, expected shortfall) and
-forecast scoring (CRPS).
+analysis through companion matrices, exact predictive mixtures at any horizon
+within a component budget (Monte Carlo beyond), Markowitz portfolio
+construction from conditional moments, and mixture-based risk measures (VaR,
+expected shortfall) and forecast scoring (CRPS).
 """
 
 from .compare import ComparisonReport, ComparisonRow, evaluate_holdout, rolling_origin_crps
@@ -38,6 +38,7 @@ from .forecasting import (
     MomentPair,
     mixture_moments,
     predictive_h_step_mc,
+    predictive_mixture,
     predictive_one_step,
     predictive_two_step,
 )

@@ -21,12 +21,7 @@ from .compare import evaluate_holdout
 from .diagnostics import acf_ccf
 from .estimation import InitStrategy, em_fit, select_order
 from .exceptions import MvarError
-from .forecasting import (
-    mixture_moments,
-    predictive_h_step_mc,
-    predictive_one_step,
-    predictive_two_step,
-)
+from .forecasting import mixture_moments, predictive_h_step_mc, predictive_mixture
 from .model import ForecastOrigin, ModelSpec, SeriesMatrix, is_stable
 from .portfolio import horizon_portfolio, project
 from .risk import var_es
@@ -173,9 +168,16 @@ def cmd_forecast(args) -> int:
     model = mio.load_model(args.model)
     series = _load_series(args)
     origin = _origin_for(model.params, series)
-    if args.horizon in (1, 2):
-        mix = (predictive_one_step if args.horizon == 1 else predictive_two_step)(
-            model.params, origin)
+    analytic = args.horizon <= 2
+    if args.grid_out and not analytic:
+        print("error: --grid-out requires an analytic horizon (1 or 2)", file=sys.stderr)
+        return 1
+    if args.grid_out and series.m != 1:
+        print("error: --grid-out needs a univariate series; "
+              "use the portfolio command for a portfolio density", file=sys.stderr)
+        return 1
+    if analytic:
+        mix = predictive_mixture(model.params, origin, args.horizon)
         mom = mixture_moments(mix)
         payload = {
             "method": "analytic",
@@ -188,11 +190,6 @@ def cmd_forecast(args) -> int:
             "cov": mom.cov.tolist(),
         }
         if args.grid_out:
-            if series.m != 1:
-                print("error: --grid-out needs a univariate series; "
-                      "use the portfolio command for a portfolio density",
-                      file=sys.stderr)
-                return 1
             scalar = project(mix, np.ones(1))
             mio.atomic_write_text(args.grid_out, mio.format_density_csv(scalar))
             _say(args, f"wrote density grid to {args.grid_out}")
@@ -209,10 +206,6 @@ def cmd_forecast(args) -> int:
             "mean": mom.mean.tolist(),
             "cov": mom.cov.tolist(),
         }
-        if args.grid_out:
-            print("error: --grid-out requires an analytic horizon (1 or 2)",
-                  file=sys.stderr)
-            return 1
     mio.atomic_write_text(args.out, _json_dump(payload))
     _say(args, f"horizon {args.horizon} conditional mean: "
                f"{np.round(np.asarray(payload['mean']), 6).tolist()}")
@@ -374,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--input-kind", choices=["returns", "prices"], default="returns")
-    p.add_argument("--horizon", type=int, choices=[1, 2], default=1)
+    p.add_argument("--horizon", type=int, default=1)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", type=float, help="target expected return")
     group.add_argument("--mvp", action="store_true", help="minimum variance portfolio")

@@ -1,12 +1,14 @@
-"""Conditional predictive distributions: analytic mixtures at horizons 1-2, Monte Carlo beyond.
+"""Conditional predictive distributions: exact Gaussian mixtures at any horizon, and Monte Carlo.
 
-One step ahead the predictive law is a g-component Gaussian mixture whose
-component means shift with the recent history. Two steps ahead it is a
-g^2-component mixture indexed by the component pair (k, l) drawn at t+2 and
-t+1; the pair's covariance picks up the first-lag propagation of the
-intermediate innovation. Both go through the stacked coefficients ``B_k`` of
-:func:`~mvarkit.model.stacked_coefficients`. Larger horizons multiply the
-component count by g per step, so they are handled by simulation.
+The predictive law of Y_{t+h} is a g^h-component Gaussian mixture, one
+component per sequence of labels drawn at t+1, ..., t+h. In companion form
+the state s = (Y_t', ..., Y_{t-q+1}')' with q = max(p, 1), newest block
+first, moves under label k as ``s <- c_k + A_k s + E e`` with e ~ N(0,
+omega[k]), so each label sequence carries a Gaussian state whose mean and
+covariance follow ``mu <- c_k + A_k mu`` and ``S <- A_k S A_k' + E omega_k
+E'``. :func:`predictive_mixture` runs that recursion; the component count
+grows as g^h, so past :data:`MAX_COMPONENTS` the simulation in
+:func:`predictive_h_step_mc` is the way forward.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPositiveDefiniteError
-from .model import ForecastOrigin, MvarParameters, _regressor_row, stacked_coefficients
+from .model import ForecastOrigin, MvarParameters
 from .simulation import simulate_forward
 
 MOMENT_PSD_TOL = 1e-10
+MAX_COMPONENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -103,54 +106,60 @@ def _has_cholesky(cov: np.ndarray) -> bool:
     return True
 
 
-def predictive_one_step(params: MvarParameters, origin: ForecastOrigin) -> MixtureNormalMV:
-    """One-step predictive mixture: g components with the model's own weights.
+def predictive_mixture(
+    params: MvarParameters, origin: ForecastOrigin, horizon: int
+) -> MixtureNormalMV:
+    """Exact predictive mixture of Y_{t+horizon}: g^horizon components, one per label sequence.
 
-    Component k has mean ``theta0[k] + sum_i theta[k,i-1] @ Y_{t+1-i}``, the
-    product ``x' B_k`` of the origin's regressor row with the stacked
-    coefficients, and covariance ``omega[k]``.
-    """
-    origin.check_dimensions(params.spec)
-    means = _regressor_row(origin.history) @ stacked_coefficients(params)
-    return MixtureNormalMV(
-        weights=params.pi, means=means, covs=params.omega,
-        horizon=1, origin_time=origin.t,
-    )
-
-
-def predictive_two_step(params: MvarParameters, origin: ForecastOrigin) -> MixtureNormalMV:
-    """Two-step predictive mixture: g^2 components indexed by the pair (k, l).
-
-    The pair (k, l) means component k generates Y_{t+2} and component l
-    generates Y_{t+1}. Its weight is ``pi[k]*pi[l]``, its covariance
-    ``omega[k] + theta[k,0] @ omega[l] @ theta[k,0].T``, and its mean
-
-        theta0[k] + theta[k,0] @ theta0[l]
-        + sum_{i=1..p-1} (theta[k,i] + theta[k,0] @ theta[l,i-1]) @ Y_{t+1-i}
-        + theta[k,0] @ theta[l,p-1] @ Y_{t+1-p}.
-
-    It is computed as ``c_k + theta[k,0] @ m1_l``: ``m1_l`` is component l's
-    one-step mean and ``c_k`` the two-step mean of component k with Y_{t+1}
-    left out, both products of a regressor row with the stacked coefficients.
-    Component ``j = k*g + l`` holds the pair. The ordering matters: in general
-    the (k, l) and (l, k) components differ.
+    Each step applies every label k to every component i of the previous
+    step, writing the result at ``j = k*c + i`` (c components so far), so the
+    newest label leads: at h=2 the pair (k, l), with k generating Y_{t+2} and
+    l generating Y_{t+1}, sits at ``k*g + l``. The weight is the product of
+    the labels' ``pi``; mean and covariance are the newest block of the
+    companion-form state. Raises ``ValueError`` for ``horizon < 1`` and when
+    g^horizon exceeds :data:`MAX_COMPONENTS`, before building anything.
     """
     origin.check_dimensions(params.spec)
     g, m, p = params.spec.g, params.spec.m, params.spec.p
-    coef = stacked_coefficients(params)
-    x = _regressor_row(origin.history)
-    one_step = x @ coef
-    x[1 + m:] = x[1:1 + m * (p - 1)]   # lag i+1 of Y_{t+2} is lag i of Y_{t+1}
-    x[1:1 + m] = 0.0                   # Y_{t+1} enters through theta[k,0] @ one_step[l]
-    rest = x @ coef
-    first = params.theta[:, 0] if p else np.zeros((g, m, m))   # theta[k,0] of every k
-    first_t = first.transpose(0, 2, 1)
-    # axis 0 is k, axis 1 is l
-    means = rest[:, None, :] + one_step @ first_t
-    covs = params.omega[:, None] + first[:, None] @ params.omega @ first_t[:, None]
-    return MixtureNormalMV(weights=np.outer(params.pi, params.pi).ravel(),
-                           means=means.reshape(g * g, m), covs=covs.reshape(g * g, m, m),
-                           horizon=2, origin_time=origin.t)
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    # for g >= 2 the budget is passed by bit_length() steps, so the power stays small
+    if g ** min(horizon, MAX_COMPONENTS.bit_length()) > MAX_COMPONENTS:
+        raise ValueError(
+            f"the horizon-{horizon} predictive has {g}^{horizon} components, more than "
+            f"MAX_COMPONENTS = {MAX_COMPONENTS}; use predictive_h_step_mc"
+        )
+    d = m * max(p, 1)
+    # every component's companion matrix at once, as model.companion_matrix lays it out
+    a = np.zeros((g, d, d))
+    a[:, :m, :m * p] = params.theta.transpose(0, 2, 1, 3).reshape(g, m, m * p)
+    a[:, m:, :d - m] = np.eye(d - m)
+    a_t = a.transpose(0, 2, 1)
+    weights = np.ones(1)
+    means = np.zeros((1, d))
+    means[0, :m * p] = origin.history[::-1].ravel()
+    covs = np.zeros((1, d, d))
+    for _ in range(horizon):
+        # axis 0 is the new label k, axis 1 the component i it extends
+        weights = np.outer(params.pi, weights).ravel()
+        means = means @ a_t
+        means[:, :, :m] += params.theta0[:, None]
+        covs = a[:, None] @ covs @ a_t[:, None]
+        covs[:, :, :m, :m] += params.omega[:, None]
+        means = means.reshape(-1, d)
+        covs = covs.reshape(-1, d, d)
+    return MixtureNormalMV(weights=weights, means=means[:, :m], covs=covs[:, :m, :m],
+                           horizon=horizon, origin_time=origin.t)
+
+
+def predictive_one_step(params: MvarParameters, origin: ForecastOrigin) -> MixtureNormalMV:
+    """The horizon-1 case of :func:`predictive_mixture`: g components with the model's weights."""
+    return predictive_mixture(params, origin, 1)
+
+
+def predictive_two_step(params: MvarParameters, origin: ForecastOrigin) -> MixtureNormalMV:
+    """The horizon-2 case of :func:`predictive_mixture`: the pair (k, l) at ``k*g + l``."""
+    return predictive_mixture(params, origin, 2)
 
 
 def mixture_moments(mix: MixtureNormalMV) -> MomentPair:

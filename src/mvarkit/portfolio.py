@@ -19,12 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import DegenerateFrontierError, DimensionError, NotPositiveDefiniteError
-from .forecasting import (
-    MixtureNormalMV,
-    mixture_moments,
-    predictive_one_step,
-    predictive_two_step,
-)
+from .forecasting import MixtureNormalMV, mixture_moments, predictive_mixture
 from .model import ForecastOrigin, MvarParameters
 
 DEGENERATE_FRONTIER_TOL = 1e-12
@@ -205,19 +200,15 @@ def horizon_portfolio(
     horizon: int,
     target: float | None = None,
 ) -> tuple[PortfolioSolution, MixtureNormal1D]:
-    """Markowitz solution against the conditional moments at ``horizon`` 1 or 2.
+    """Markowitz solution against the conditional moments at ``horizon``.
 
-    Computes (mu_{t+h}, Omega_{t+h}) from the predictive mixture, solves the
+    Computes (mu_{t+h}, Omega_{t+h}) from :func:`predictive_mixture`, solves the
     minimum-variance portfolio (``target=None``) or the efficient portfolio
     for ``target``, and projects the mixture onto the solved weights to get
-    the return distribution at that horizon.
+    the return distribution at that horizon. The horizon's ``ValueError``
+    cases are those of :func:`predictive_mixture`.
     """
-    if horizon == 1:
-        mix = predictive_one_step(params, origin)
-    elif horizon == 2:
-        mix = predictive_two_step(params, origin)
-    else:
-        raise ValueError(f"analytic portfolios cover horizons 1 and 2, got {horizon}")
+    mix = predictive_mixture(params, origin, horizon)
     mom = mixture_moments(mix)
     if target is None:
         sol = mvp_weights(mom.mean, mom.cov, horizon=horizon)

@@ -8,6 +8,7 @@ two sides of every comparison stay independent.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -173,6 +174,48 @@ def predictive_pairs(pi, theta0, theta, omega, history):
             two[1][j] = mean
             two[2][j] = omega[k] + first @ omega[l] @ first.T
     return one, two
+
+
+def predictive_sequences(pi, theta0, theta, omega, history, horizon):
+    """Horizon-h predictive mixture ``(weights, means, covs)``, one label sequence at a time.
+
+    Sequences come from ``itertools.product`` with the newest label leading:
+    the tuple (k_h, ..., k_1) has k_s generate Y_{t+s}. Along a sequence,
+    Y_{t+s} is tracked as the affine function ``a_s + sum_r b[s][r] @ e_r``
+    of the independent innovations e_r ~ N(0, omega[k_r]), r = 1..s, through
+    the recursion ``Y_{t+s} = theta0[k_s] + sum_i theta[k_s, i-1] @ Y_{t+s-i}
+    + e_s`` written out lag by lag, with ``history`` (p, m, oldest first)
+    supplying Y_{t+s-i} for s - i <= 0. The component's mean is a_h and its
+    covariance ``sum_r b[h][r] @ omega[k_r] @ b[h][r].T``.
+    """
+    pi = np.asarray(pi, dtype=float)
+    theta0 = np.asarray(theta0, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    g, p, m = theta.shape[0], theta.shape[1], theta0.shape[1]
+    y = np.asarray(history, dtype=float).reshape(p, m)
+    n = g ** horizon
+    weights, means, covs = np.empty(n), np.empty((n, m)), np.empty((n, m, m))
+    for j, seq in enumerate(itertools.product(range(g), repeat=horizon)):
+        labels = seq[::-1]                     # labels[s - 1] generates Y_{t+s}
+        level = list(y)                        # a_s for s <= 0, oldest first
+        loads = [[np.zeros((m, m))] * horizon for _ in level]   # b[s][r] = 0 for s <= 0
+        for s in range(1, horizon + 1):
+            k = labels[s - 1]
+            a = theta0[k].copy()
+            b = [np.zeros((m, m)) for _ in range(horizon)]
+            b[s - 1] = np.eye(m)
+            for i in range(1, p + 1):
+                past = len(level) - i          # index of Y_{t+s-i}
+                a = a + theta[k, i - 1] @ level[past]
+                for r in range(s - 1):
+                    b[r] = b[r] + theta[k, i - 1] @ loads[past][r]
+            level.append(a)
+            loads.append(b)
+        weights[j] = np.prod([pi[k] for k in labels])
+        means[j] = level[-1]
+        covs[j] = sum(loads[-1][r] @ omega[labels[r]] @ loads[-1][r].T for r in range(horizon))
+    return weights, means, covs
 
 
 def simulate_forward_loop(pi, theta0, theta, omega, history, horizon, n_paths, rng):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mvarkit import cli
+from mvarkit import ForecastOrigin, cli, horizon_portfolio
 from mvarkit import io as mio
 from conftest import make_ref_params
 
@@ -116,6 +116,17 @@ class TestForecast:
         assert payload["n_paths"] == 2000
         assert len(payload["mean"]) == 3
 
+    def test_grid_rejected_before_simulating(self, tmp_path, model_path, sim_csv, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting --grid-out")
+
+        monkeypatch.setattr(cli, "predictive_h_step_mc", no_simulation)
+        rc = cli.main(["forecast", "--model", str(model_path), "--data", str(sim_csv),
+                       "--horizon", "10", "--out", str(tmp_path / "m.json"),
+                       "--grid-out", str(tmp_path / "g.csv"), "--quiet"])
+        assert rc == 1
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "g.csv").exists()
+
     def test_grid_needs_univariate(self, tmp_path, model_path, sim_csv):
         rc = cli.main(["forecast", "--model", str(model_path), "--data", str(sim_csv),
                        "--horizon", "1", "--out", str(tmp_path / "m.json"),
@@ -155,6 +166,28 @@ class TestPortfolioAndRisk:
         payload = read_json(port)
         assert payload["kind"] == "mvp" and payload["horizon"] == 2
         assert len(payload["mixture"]["weights"]) == 4
+
+    def test_portfolio_mvp_three_step(self, tmp_path, model_path, sim_csv):
+        port = tmp_path / "p3.json"
+        rc = cli.main(["portfolio", "--model", str(model_path), "--data", str(sim_csv),
+                       "--horizon", "3", "--mvp", "--out", str(port), "--quiet"])
+        assert rc == 0
+        payload = read_json(port)
+        model = mio.load_model(model_path)
+        series, _, _, _ = mio.load_series(sim_csv, "returns")
+        origin = ForecastOrigin.from_series(series, model.params.spec.p)
+        sol, rmix = horizon_portfolio(model.params, origin, 3)
+        assert payload["kind"] == "mvp" and payload["horizon"] == 3
+        assert payload["weights"] == sol.weights.tolist()
+        assert payload["mixture"] == mio.mixture1d_to_dict(rmix)
+        assert len(payload["mixture"]["weights"]) == 8
+
+    def test_portfolio_horizon_over_budget(self, tmp_path, model_path, sim_csv, capsys):
+        rc = cli.main(["portfolio", "--model", str(model_path), "--data", str(sim_csv),
+                       "--horizon", "13", "--mvp", "--out", str(tmp_path / "p.json"),
+                       "--quiet"])
+        assert rc == 1
+        assert "predictive_h_step_mc" in capsys.readouterr().err
 
     def test_risk_accepts_bare_mixture(self, tmp_path):
         mix_path = tmp_path / "mix.json"

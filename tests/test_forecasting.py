@@ -12,12 +12,13 @@ from mvarkit import (
     NotPositiveDefiniteError,
     mixture_moments,
     predictive_h_step_mc,
+    predictive_mixture,
     predictive_one_step,
     predictive_two_step,
     simulate_forward,
 )
 from conftest import draw_mixture_mv, make_est_params, make_ref_params, random_stable_params
-from oracles import companion_moments, predictive_pairs
+from oracles import companion_moments, predictive_pairs, predictive_sequences
 
 
 @pytest.fixture(scope="module")
@@ -228,12 +229,19 @@ def test_predictives_match_per_pair_oracle(g, m, orders):
     params = mixed_order_params(60 + g + m, g, m, orders)
     hist = np.random.default_rng(61).normal(0.0, 2.0, size=(params.spec.p, m))
     origin = ForecastOrigin(history=hist, t=12)
-    expected = predictive_pairs(params.pi, params.theta0, params.theta, params.omega, hist)
-    for mix, (weights, means, covs) in zip(
-            (predictive_one_step(params, origin), predictive_two_step(params, origin)), expected):
+    args = (params.pi, params.theta0, params.theta, params.omega, hist)
+    # h=1, 2 against the per-pair formulas, h=3 (and h=4 for g <= 2) per label sequence
+    cases = list(zip((predictive_one_step(params, origin), predictive_two_step(params, origin)),
+                     predictive_pairs(*args)))
+    cases += [(predictive_mixture(params, origin, h), predictive_sequences(*args, h))
+              for h in ((3, 4) if g <= 2 else (3,))]
+    for mix, (weights, means, covs) in cases:
         for got, want in ((mix.weights, weights), (mix.means, means), (mix.covs, covs)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+    mom = mixture_moments(predictive_mixture(params, origin, 6))
+    for got, want in zip((mom.mean, mom.cov), companion_moments(*args, 6)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 class TestMonteCarloForecast:

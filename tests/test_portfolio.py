@@ -20,6 +20,7 @@ from mvarkit import (
     simulate_forward,
     two_step_portfolio,
 )
+from mvarkit.forecasting import MAX_COMPONENTS
 from conftest import (
     draw_mixture1d,
     draw_mixture_mv,
@@ -31,7 +32,7 @@ from conftest import (
     stationary_origin,
     variance_routes,
 )
-from oracles import markowitz_explicit
+from oracles import companion_moments, markowitz_explicit
 
 
 @pytest.fixture(scope="module")
@@ -279,10 +280,23 @@ class TestTwoStepPortfolio:
         assert rmix.n_components == 1
         assert sol.horizon == 2
 
-    def test_only_analytic_horizons(self, ref_params, origin):
-        for horizon in (0, 3):
-            with pytest.raises(ValueError, match="horizons 1 and 2"):
+    def test_horizons_within_component_budget(self, ref_params, origin):
+        for horizon in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
                 horizon_portfolio(ref_params, origin, horizon)
+        # the reference model has g=2: 2^12 components fit the budget, 2^13 do not,
+        # and a huge horizon is refused as fast as 13
+        assert horizon_portfolio(ref_params, origin, 12)[1].n_components == MAX_COMPONENTS
+        for horizon in (13, 10 ** 9):
+            with pytest.raises(ValueError, match="predictive_h_step_mc"):
+                horizon_portfolio(ref_params, origin, horizon)
+        sol, rmix = horizon_portfolio(ref_params, origin, 3)
+        mean, cov = companion_moments(ref_params.pi, ref_params.theta0, ref_params.theta,
+                                      ref_params.omega, origin.history, 3)
+        want = mvp_weights(mean, cov, horizon=3)
+        assert rmix.n_components == 8 and sol.horizon == 3
+        assert np.max(np.abs(sol.weights - want.weights)) <= 1e-12
+        assert sol.sd == pytest.approx(want.sd, rel=1e-12)
 
     def test_mvp_flag_default(self, ref_params, origin):
         sol, rmix = two_step_portfolio(ref_params, origin)

@@ -48,7 +48,7 @@ from .model import (
     ModelSpec,
     MvarParameters,
     SeriesMatrix,
-    companion_matrix,
+    companion_matrices,
     component_log_densities,
     component_residual,
     is_stable,

@@ -327,6 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--quiet", action="store_true", help="suppress console output")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="input CSV")
+    data.add_argument("--input-kind", choices=["returns", "prices"], default="returns")
+    em = argparse.ArgumentParser(add_help=False)
+    em.add_argument("--starts", type=int, default=10, help="EM random starts")
+    em.add_argument("--max-iter", type=int, default=500, dest="max_iter")
+    em.add_argument("--tol", type=float, default=1e-8)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="generate a synthetic path")
@@ -336,37 +343,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV (config JSON written alongside)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", parents=[common], help="fit a model by EM")
-    p.add_argument("--data", required=True, help="input CSV")
-    p.add_argument("--input-kind", choices=["returns", "prices"], default="returns")
+    p = sub.add_parser("fit", parents=[common, data, em], help="fit a model by EM")
     p.add_argument("--components", type=int, help="number of mixture components g")
     p.add_argument("--orders", help="comma-separated AR orders, one per component")
     p.add_argument("--sweep", action="store_true", help="rank candidates instead of fitting one")
     p.add_argument("--g-values", default="1,2", dest="g_values")
     p.add_argument("--p-values", default="1,2", dest="p_values")
     p.add_argument("--criterion", choices=["aic", "bic"], default="bic")
-    p.add_argument("--starts", type=int, default=10, help="EM random starts")
-    p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", required=True, help="output model JSON")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("forecast", parents=[common],
+    p = sub.add_parser("forecast", parents=[common, data],
                        help="predictive mixture (h<=2 analytic, else Monte Carlo)")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--input-kind", choices=["returns", "prices"], default="returns")
     p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--mc-paths", type=int, default=100_000, dest="mc_paths")
     p.add_argument("--out", required=True, help="output mixture JSON")
     p.add_argument("--grid-out", dest="grid_out", help="density grid CSV (univariate series)")
     p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("portfolio", parents=[common],
+    p = sub.add_parser("portfolio", parents=[common, data],
                        help="minimum-variance or efficient portfolio from conditional moments")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--input-kind", choices=["returns", "prices"], default="returns")
     p.add_argument("--horizon", type=int, default=1)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", type=float, help="target expected return")
@@ -382,22 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output risk JSON")
     p.set_defaults(func=cmd_risk)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[common, data, em],
                        help="fit several specs, hold out the last two observations, score each")
-    p.add_argument("--data", required=True)
-    p.add_argument("--input-kind", choices=["returns", "prices"], default="returns")
     p.add_argument("--spec", action="append", required=True,
                    help="candidate as 'g:p1,p2,...' (repeatable); g=1 gives a plain VAR")
     p.add_argument("--alpha", type=float, default=0.95)
-    p.add_argument("--starts", type=int, default=10)
-    p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", required=True, help="output report JSON")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("acf", parents=[common], help="auto/cross-correlation table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--input-kind", choices=["returns", "prices"], default="returns")
+    p = sub.add_parser("acf", parents=[common, data], help="auto/cross-correlation table")
     p.add_argument("--max-lag", type=int, default=20, dest="max_lag")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_acf)

@@ -98,7 +98,7 @@ class _Design:
         self.spec = spec
         self.y = series.values[spec.p:]                       # (N, m)
         self.yt = np.ascontiguousarray(self.y.T)              # (m, N)
-        self.x = regressor_matrix(series, spec.p, spec.p)     # (N, d)
+        self.x = regressor_matrix(series, spec.p)             # (N, d)
         self.xt = np.ascontiguousarray(self.x.T)              # (d, N)
         orders = np.asarray(spec.orders)
         self.groups = [(np.flatnonzero(orders == order), 1 + spec.m * order)

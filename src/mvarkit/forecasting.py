@@ -4,9 +4,10 @@ The predictive law of Y_{t+h} is a g^h-component Gaussian mixture, one
 component per sequence of labels drawn at t+1, ..., t+h. In companion form
 the state s = (Y_t', ..., Y_{t-q+1}')' with q = max(p, 1), newest block
 first, moves under label k as ``s <- c_k + A_k s + E e`` with e ~ N(0,
-omega[k]), so each label sequence carries a Gaussian state whose mean and
-covariance follow ``mu <- c_k + A_k mu`` and ``S <- A_k S A_k' + E omega_k
-E'``. :func:`predictive_mixture` runs that recursion; the component count
+omega[k]) and ``A_k`` from :func:`mvarkit.model.companion_matrices`, so each
+label sequence carries a Gaussian state whose mean and covariance follow
+``mu <- c_k + A_k mu`` and ``S <- A_k S A_k' + E omega_k E'``.
+:func:`predictive_mixture` runs that recursion; the component count
 grows as g^h, so past :data:`MAX_COMPONENTS` the simulation in
 :func:`predictive_h_step_mc` is the way forward.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPositiveDefiniteError
-from .model import ForecastOrigin, MvarParameters
+from .model import ForecastOrigin, MvarParameters, companion_matrices
 from .simulation import simulate_forward
 
 MOMENT_PSD_TOL = 1e-10
@@ -53,6 +54,12 @@ class MixtureNormalMV:
             raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {weights.sum()!r}")
         if not np.all(np.isfinite(covs)):
             raise ValueError("mixture covariances have non-finite entries")
+        asymmetric = _asymmetric(covs)
+        if asymmetric.any():
+            raise NotPositiveDefiniteError(
+                f"mixture component {int(np.argmax(asymmetric))} covariance is not symmetric "
+                f"within {MOMENT_PSD_TOL} relative"
+            )
         try:
             np.linalg.cholesky(covs)
         except np.linalg.LinAlgError as exc:
@@ -88,14 +95,28 @@ class MomentPair:
         if not np.all(np.isfinite(cov)):
             raise ValueError("moment covariance has non-finite entries")
         scale = max(1.0, float(np.max(np.abs(cov))) if cov.size else 1.0)
-        if np.max(np.abs(cov - cov.T)) > MOMENT_PSD_TOL * scale:
-            raise NotPositiveDefiniteError("moment covariance is not symmetric within 1e-10")
+        if _asymmetric(cov):
+            raise NotPositiveDefiniteError(
+                f"moment covariance is not symmetric within {MOMENT_PSD_TOL} relative"
+            )
         if float(np.min(np.linalg.eigvalsh(cov))) < -MOMENT_PSD_TOL * scale:
             raise NotPositiveDefiniteError("moment covariance is not positive semidefinite")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+
+def _asymmetric(covs: np.ndarray) -> np.ndarray:
+    """Per matrix over the last two axes: ``max|C - C'| > MOMENT_PSD_TOL * max(1, max|C|)``.
+
+    The test is relative: rounding in ``A S A'`` leaves an asymmetry that grows
+    with the data scale, while ``np.linalg.cholesky`` reads only one triangle.
+    """
+    flat = covs.shape[:-2] + (-1,)
+    scale = np.abs(covs).reshape(flat).max(axis=-1, initial=1.0)
+    gap = np.abs(covs - np.swapaxes(covs, -1, -2)).reshape(flat).max(axis=-1, initial=0.0)
+    return gap > MOMENT_PSD_TOL * scale
 
 
 def _has_cholesky(cov: np.ndarray) -> bool:
@@ -129,11 +150,8 @@ def predictive_mixture(
             f"the horizon-{horizon} predictive has {g}^{horizon} components, more than "
             f"MAX_COMPONENTS = {MAX_COMPONENTS}; use predictive_h_step_mc"
         )
-    d = m * max(p, 1)
-    # every component's companion matrix at once, as model.companion_matrix lays it out
-    a = np.zeros((g, d, d))
-    a[:, :m, :m * p] = params.theta.transpose(0, 2, 1, 3).reshape(g, m, m * p)
-    a[:, m:, :d - m] = np.eye(d - m)
+    a = companion_matrices(params)
+    d = a.shape[-1]
     a_t = a.transpose(0, 2, 1)
     weights = np.ones(1)
     means = np.zeros((1, d))

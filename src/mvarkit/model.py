@@ -7,7 +7,11 @@ at each time step, a component ``k`` with probability ``pi[k]`` and generates
 
 with ``eps_t`` standard normal. Component ``k`` uses lags ``1..orders[k]``;
 coefficient matrices beyond a component's own order are stored as explicit
-zero blocks so every component shares the maximal lag depth ``p``.
+zero blocks so every component shares the maximal lag depth ``p``. The lag
+layout lives in two builders: :func:`regressor_matrix` (and the row helper
+``_regressor_row``) for conditional means ``x_t' B_k``, and
+:func:`companion_matrices` for the companion form that :func:`is_stable` and
+the exact predictive mixtures share.
 
 All objects are immutable after construction (arrays are marked read-only)
 and safe to share across threads.
@@ -171,18 +175,6 @@ class MvarParameters:
         """Lower Cholesky factors of the innovation covariances, shape (g, m, m)."""
         return self._chol
 
-    def permuted(self, order) -> "MvarParameters":
-        """Relabel components according to ``order`` (a permutation of 0..g-1)."""
-        order = list(order)
-        spec = ModelSpec(self.spec.g, self.spec.m, tuple(self.spec.orders[k] for k in order))
-        return MvarParameters(
-            spec=spec,
-            pi=self.pi[order],
-            theta0=self.theta0[order],
-            theta=self.theta[order],
-            omega=self.omega[order],
-        )
-
     def allclose(self, other: "MvarParameters", atol: float = 0.0) -> bool:
         return (
             self.spec == other.spec
@@ -264,21 +256,14 @@ def _check_series(params: MvarParameters, series: SeriesMatrix) -> None:
         )
 
 
-def regressor_matrix(series: SeriesMatrix, order: int, max_order: int) -> np.ndarray:
-    """Stacked regressors (1, Y_{t-1}', ..., Y_{t-order}') for t = max_order..n-1.
-
-    Rows align with the scored observations of a model with maximal lag
-    ``max_order``, so components of different orders share row indexing.
-    """
-    if order > max_order:
-        raise DimensionError(f"order {order} exceeds max_order {max_order}")
+def regressor_matrix(series: SeriesMatrix, p: int) -> np.ndarray:
+    """Stacked regressors (1, Y_{t-1}', ..., Y_{t-p}') for t = p..n-1, shape (n-p, 1 + m*p)."""
     y = series.values
     n, m = y.shape
-    rows = n - max_order
-    x = np.empty((rows, 1 + m * order))
+    x = np.empty((n - p, 1 + m * p))
     x[:, 0] = 1.0
-    for i in range(1, order + 1):
-        x[:, 1 + m * (i - 1): 1 + m * i] = y[max_order - i: n - i]
+    for i in range(1, p + 1):
+        x[:, 1 + m * (i - 1): 1 + m * i] = y[p - i: n - i]
     return x
 
 
@@ -286,7 +271,7 @@ def stacked_coefficients(params: MvarParameters) -> np.ndarray:
     """Coefficients B_k = (theta0_k; theta_k1'; ...; theta_kp'), shape (g, 1 + m*p, m).
 
     The conditional mean of component ``k`` at time t is ``x_t' B_k`` for the
-    row ``x_t`` of ``regressor_matrix(series, p, p)``; lags beyond a
+    row ``x_t`` of ``regressor_matrix(series, p)``; lags beyond a
     component's order are zero rows.
     """
     g, m, p = params.spec.g, params.spec.m, params.spec.p
@@ -354,7 +339,7 @@ def component_log_densities(params: MvarParameters, series: SeriesMatrix) -> np.
     """Per-component Gaussian log densities at every scored time, shape (n-p, g)."""
     _check_series(params, series)
     p = params.spec.p
-    xt = np.ascontiguousarray(regressor_matrix(series, p, p).T)
+    xt = np.ascontiguousarray(regressor_matrix(series, p).T)
     yt = np.ascontiguousarray(series.values[p:].T)
     resid = stacked_residuals(stacked_coefficients(params), xt, yt)
     return gaussian_log_densities(resid, params.cholesky_factors()).T
@@ -389,20 +374,18 @@ def log_likelihood(params: MvarParameters, series: SeriesMatrix) -> float:
     return total
 
 
-def companion_matrix(params: MvarParameters, k: int) -> np.ndarray:
-    """Companion form of component ``k``: AR blocks on the first block row,
-    identity blocks on the subdiagonal, shape (m*p, m*p). Requires p >= 1."""
-    spec = params.spec
-    m, p = spec.m, spec.p
-    if p < 1:
-        raise ValueError("companion matrix undefined for p=0")
-    if not 0 <= k < spec.g:
-        raise TimeIndexError(f"component k={k} outside range [0, {spec.g - 1}]")
-    a = np.zeros((m * p, m * p))
-    for i in range(p):
-        a[:m, i * m:(i + 1) * m] = params.theta[k, i]
-    if p > 1:
-        a[m:, :-m] += np.eye(m * (p - 1))
+def companion_matrices(params: MvarParameters) -> np.ndarray:
+    """Companion matrices of every component, shape (g, d, d) with d = m*max(p, 1).
+
+    The state is (Y_t', ..., Y_{t-q+1}')' with q = max(p, 1), newest block
+    first: component ``k``'s AR blocks fill the first block row, identity
+    blocks the subdiagonal. A p=0 model gets zero (m, m) blocks.
+    """
+    g, m, p = params.spec.g, params.spec.m, params.spec.p
+    d = m * max(p, 1)
+    a = np.zeros((g, d, d))
+    a[:, :m, :m * p] = params.theta.transpose(0, 2, 1, 3).reshape(g, m, m * p)
+    a[:, m:, :d - m] = np.eye(d - m)
     return a
 
 
@@ -411,18 +394,11 @@ def is_stable(params: MvarParameters, tol: float = STABILITY_TOL) -> tuple[bool,
 
     Forms ``M = sum_k pi[k] * kron(A_k, A_k)`` over the component companion
     matrices and returns ``(rho < 1 - tol, rho)`` for its spectral radius
-    ``rho``. A model with ``p = 0`` has no dynamics and is reported stable
-    with radius 0. Eigenvalue solver failures raise
+    ``rho``; a model with ``p = 0`` has zero companion blocks and radius 0.
+    Eigenvalue solver failures raise
     :class:`~mvarkit.exceptions.EigenSolverError`, never an "unstable" verdict.
     """
-    spec = params.spec
-    if spec.p == 0:
-        return True, 0.0
-    d = spec.m * spec.p
-    mat = np.zeros((d * d, d * d))
-    for k in range(spec.g):
-        a_k = companion_matrix(params, k)
-        mat += params.pi[k] * np.kron(a_k, a_k)
+    mat = sum(w * np.kron(a_k, a_k) for w, a_k in zip(params.pi, companion_matrices(params)))
     try:
         eigs = np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:

@@ -37,15 +37,10 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .exceptions import BracketError
-from .portfolio import MixtureNormal1D
+from .portfolio import MixtureNormal1D, scalar_mixture_moments
 
 QUANTILE_CDF_TOL = 1e-10
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def norm_cdf(x):
-    """Standard normal CDF (erf-based)."""
-    return ndtr(x)
 
 
 def norm_pdf(x):
@@ -179,8 +174,8 @@ def mixture_quantile(mix: MixtureNormal1D, q: float) -> float:
     if not cdf_hi > q:
         hi = _step_until(lambda v: cdf(v) > q, hi, hi - lo,
                          f"could not bracket quantile {q} from above")
-    mean = float(weights @ means)
-    start = mean + math.sqrt(float(weights @ (sds * sds + (means - mean) ** 2))) * float(ndtri(q))
+    mean, var = scalar_mixture_moments(mix)
+    start = mean + math.sqrt(var) * float(ndtri(q))
     start = min(max(start, lo), hi) if math.isfinite(start) else 0.5 * (lo + hi)
     x = _newton(weights, means, sds, q, lo, hi, start)
     # Newton terminates on x-tolerance; polish by bisection if the CDF residual

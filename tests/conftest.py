@@ -116,6 +116,14 @@ def make_portfolio_mixture() -> MixtureNormal1D:
     return MixtureNormal1D(**PORTFOLIO_MIX, horizon=1, origin_time=498)
 
 
+def permuted(params: MvarParameters, order) -> MvarParameters:
+    """The same model with components relabelled by ``order`` (a permutation of 0..g-1)."""
+    order = list(order)
+    spec = ModelSpec(params.spec.g, params.spec.m, tuple(params.spec.orders[k] for k in order))
+    return MvarParameters(spec=spec, pi=params.pi[order], theta0=params.theta0[order],
+                          theta=params.theta[order], omega=params.omega[order])
+
+
 def random_spd(rng: np.random.Generator, m: int, jitter: float = 0.3) -> np.ndarray:
     a = rng.normal(size=(m, m))
     return a @ a.T + (jitter + rng.uniform(0.0, 0.5)) * np.eye(m)

@@ -64,11 +64,25 @@ def wls_explicit(x, w, y):
     return np.linalg.inv(xtwx) @ xtwy
 
 
-def kron_spectral_radius(pi, companions):
-    """Spectral radius of sum_k pi_k A_k (x) A_k with a hand-rolled Kronecker product."""
-    d = companions[0].shape[0]
+def kron_spectral_radius(pi, theta):
+    """Spectral radius of sum_k pi_k A_k (x) A_k, companions and Kronecker product built by hand.
+
+    ``theta`` is (g, p, m, m). Each A_k uses the oldest-first layout of
+    :func:`companion_moments` (identity blocks above the diagonal, AR blocks
+    on the last block row); spectra do not depend on the block order. A p=0
+    model gets zero (m, m) blocks.
+    """
+    theta = np.asarray(theta, dtype=float)
+    p, m = theta.shape[1], theta.shape[2]
+    q = max(p, 1)
+    d = q * m
     big = np.zeros((d * d, d * d))
-    for weight, a in zip(pi, companions):
+    for weight, theta_k in zip(pi, theta):
+        a = np.zeros((d, d))
+        for b in range(q - 1):
+            a[b * m:(b + 1) * m, (b + 1) * m:(b + 2) * m] = np.eye(m)
+        for i in range(1, p + 1):
+            a[d - m:, d - i * m:d - (i - 1) * m] = theta_k[i - 1]
         for i in range(d):
             for j in range(d):
                 big[i * d:(i + 1) * d, j * d:(j + 1) * d] += weight * a[i, j] * a

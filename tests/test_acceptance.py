@@ -23,7 +23,6 @@ from mvarkit import (
     ModelSpec,
     MvarParameters,
     SimulationConfig,
-    companion_matrix,
     crps_mixture,
     e_step,
     efficient_weights,
@@ -292,7 +291,7 @@ def test_criterion_9_stability_criterion():
     zero_stable, zero_rho = is_stable(zero)
     ref = make_ref_params()
     ref_stable, ref_rho = is_stable(ref)
-    oracle = kron_spectral_radius(ref.pi, [companion_matrix(ref, k) for k in range(2)])
+    oracle = kron_spectral_radius(ref.pi, ref.theta)
     ok = (worst_scalar < 1e-12 and zero_stable and zero_rho == 0.0
           and ref_stable and abs(ref_rho - oracle) < 1e-10)
     _report(9, "stability spectral radius", ok,

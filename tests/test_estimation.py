@@ -23,7 +23,7 @@ from mvarkit import (
 from mvarkit import estimation
 from mvarkit.estimation import _canonicalize, _Design, _lockstep_em, _m_kernel
 from mvarkit.model import stacked_coefficients
-from conftest import make_ref_params, random_stable_params
+from conftest import make_ref_params, permuted, random_stable_params
 from oracles import naive_responsibilities, wls_explicit
 
 
@@ -84,18 +84,12 @@ class TestEStep:
 class TestRegressorMatrix:
     def test_leading_column_is_one_and_lags_stack(self):
         series = SeriesMatrix(np.arange(8.0).reshape(4, 2))
-        x = regressor_matrix(series, order=2, max_order=2)
+        x = regressor_matrix(series, 2)
         assert x.shape == (2, 5)
         assert np.allclose(x[:, 0], 1.0)
         # row for t=2: lags Y_1, Y_0
         assert np.allclose(x[0], [1.0, 2.0, 3.0, 0.0, 1.0])
         assert np.allclose(x[1], [1.0, 4.0, 5.0, 2.0, 3.0])
-
-    def test_shorter_order_shares_row_indexing(self):
-        series = SeriesMatrix(np.arange(8.0).reshape(4, 2))
-        x = regressor_matrix(series, order=1, max_order=2)
-        assert x.shape == (2, 3)
-        assert np.allclose(x[0], [1.0, 2.0, 3.0])
 
 
 class TestMStep:
@@ -133,7 +127,7 @@ class TestMStep:
         raw = rng.dirichlet(np.ones(2), size=29)
         tau = Responsibilities(raw)
         params = m_step(series, tau, spec)
-        x = regressor_matrix(series, 1, 1)
+        x = regressor_matrix(series, 1)
         for k in range(2):
             coef = wls_explicit(x, raw[:, k], y[1:])
             stacked = coef.T
@@ -152,7 +146,7 @@ class TestMStep:
         spec = ModelSpec(3, 2, (2, 1, 0))
         raw = rng.dirichlet(np.ones(3), size=58)
         params = m_step(series, Responsibilities(raw), spec)
-        x = regressor_matrix(series, 2, 2)
+        x = regressor_matrix(series, 2)
         for k, order in enumerate(spec.orders):
             width = 1 + 2 * order
             coef = wls_explicit(x[:, :width], raw[:, k], y[2:])
@@ -264,7 +258,7 @@ class TestEmFit:
 
     def test_canonicalize_undoes_label_switch(self, ref_params):
         tau = np.tile([0.3, 0.7], (10, 1))
-        flipped = ref_params.permuted([1, 0])
+        flipped = permuted(ref_params, [1, 0])
         canon, canon_tau = _canonicalize(flipped.spec, flipped.pi, stacked_coefficients(flipped),
                                          flipped.omega, tau)
         assert canon.allclose(ref_params, atol=0.0)

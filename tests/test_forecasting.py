@@ -310,3 +310,23 @@ class TestMixtureValidation:
         with pytest.raises(NotPositiveDefiniteError):
             MixtureNormalMV(weights=[1.0], means=np.zeros((1, 2)),
                             covs=[[[1.0, 2.0], [2.0, 1.0]]], horizon=1, origin_time=0)
+
+    def test_covs_must_be_symmetric(self):
+        # cholesky reads only the lower triangle, which here is the identity
+        covs = [np.eye(2), [[1.0, 5.0], [0.0, 1.0]]]
+        with pytest.raises(NotPositiveDefiniteError, match="component 1 covariance is not symmetric"):
+            MixtureNormalMV(weights=[0.5, 0.5], means=np.zeros((2, 2)), covs=covs,
+                            horizon=1, origin_time=0)
+
+    @pytest.mark.parametrize("horizon", [2, 3])
+    def test_kernel_output_accepted_at_large_scale(self, horizon):
+        # at data scale 1e6 the kernel's A S A' covariances differ from their
+        # transposes by ~1e-3 in absolute terms, ~1e-16 relative to their size
+        rng = np.random.default_rng(7)
+        params = random_stable_params(rng, g=3, m=4, p=2)
+        scale = 1e6
+        scaled = MvarParameters(spec=params.spec, pi=params.pi, theta0=params.theta0 * scale,
+                                theta=params.theta, omega=params.omega * scale ** 2)
+        origin = ForecastOrigin(history=rng.normal(size=(2, 4)) * scale, t=1)
+        mix = predictive_mixture(scaled, origin, horizon)
+        assert mix.n_components == 3 ** horizon

@@ -11,12 +11,12 @@ from mvarkit import (
     NotPositiveDefiniteError,
     SeriesMatrix,
     TimeIndexError,
-    companion_matrix,
+    companion_matrices,
     component_residual,
     is_stable,
     log_likelihood,
 )
-from conftest import REF_THETA1, make_ref_params, random_spd, random_stable_params
+from conftest import REF_THETA1, make_ref_params, permuted, random_spd, random_stable_params
 from oracles import kron_spectral_radius, naive_log_likelihood, naive_residual
 
 
@@ -181,7 +181,7 @@ class TestLogLikelihood:
             log_likelihood(ref_params, SeriesMatrix(np.zeros((1, 3))))
 
     def test_permutation_invariance(self, ref_params, ref_path):
-        flipped = ref_params.permuted([1, 0])
+        flipped = permuted(ref_params, [1, 0])
         assert log_likelihood(flipped, ref_path) == pytest.approx(
             log_likelihood(ref_params, ref_path), abs=1e-10
         )
@@ -189,14 +189,14 @@ class TestLogLikelihood:
 
 class TestCompanion:
     def test_scalar(self):
-        assert companion_matrix(scalar_params(), 0) == pytest.approx(np.array([[0.5]]))
+        assert companion_matrices(scalar_params()) == pytest.approx(np.array([[[0.5]]]))
 
     def test_block_structure_p2(self):
         params = MvarParameters.from_component_lists(
             ModelSpec(1, 2, (2,)), [1.0], [np.zeros(2)],
             [[0.2 * np.eye(2), 0.1 * np.eye(2)]], [np.eye(2)]
         )
-        a = companion_matrix(params, 0)
+        (a,) = companion_matrices(params)
         assert a.shape == (4, 4)
         assert np.array_equal(a[2:, :2], np.eye(2))      # identity on the subdiagonal
         assert np.array_equal(a[2:, 2:], np.zeros((2, 2)))
@@ -204,13 +204,21 @@ class TestCompanion:
         assert np.array_equal(a[:2, 2:], 0.1 * np.eye(2))
 
     def test_reference_p1_is_first_lag_matrix(self, ref_params):
-        assert np.array_equal(companion_matrix(ref_params, 0), REF_THETA1)
+        assert np.array_equal(companion_matrices(ref_params)[0], REF_THETA1)
+
+    def test_mixed_orders_pad_with_zero_blocks(self):
+        params = MvarParameters.from_component_lists(
+            ModelSpec(2, 1, (2, 0)), [0.5, 0.5], [[0.0], [0.0]],
+            [[[[0.3]], [[0.2]]], []], [[[1.0]], [[1.0]]]
+        )
+        assert np.array_equal(companion_matrices(params),
+                              [[[0.3, 0.2], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
 
     def test_p0_has_no_companion(self):
-        params = MvarParameters(spec=ModelSpec(1, 1, (0,)), pi=[1.0], theta0=[[0.0]],
-                                theta=np.zeros((1, 0, 1, 1)), omega=[[[1.0]]])
-        with pytest.raises(ValueError):
-            companion_matrix(params, 0)
+        params = MvarParameters(spec=ModelSpec(2, 2, (0, 0)), pi=[0.5, 0.5], theta0=np.zeros((2, 2)),
+                                theta=np.zeros((2, 0, 2, 2)), omega=[np.eye(2), np.eye(2)])
+        assert np.array_equal(companion_matrices(params), np.zeros((2, 2, 2)))
+        assert is_stable(params) == (True, 0.0)
 
 
 class TestStability:
@@ -226,10 +234,7 @@ class TestStability:
 
     def test_reference_matches_kron_oracle(self, ref_params):
         stable, rho = is_stable(ref_params)
-        oracle = kron_spectral_radius(
-            ref_params.pi,
-            [companion_matrix(ref_params, 0), companion_matrix(ref_params, 1)],
-        )
+        oracle = kron_spectral_radius(ref_params.pi, ref_params.theta)
         assert stable
         assert rho == pytest.approx(oracle, abs=1e-10)
 
@@ -243,6 +248,5 @@ class TestStability:
         rng = np.random.default_rng(99)
         for _ in range(5):
             params = random_stable_params(rng, g=2, m=2, p=2)
-            comps = [companion_matrix(params, k) for k in range(2)]
             _, rho = is_stable(params)
-            assert rho == pytest.approx(kron_spectral_radius(params.pi, comps), abs=1e-10)
+            assert rho == pytest.approx(kron_spectral_radius(params.pi, params.theta), abs=1e-10)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPositiveDefiniteError
-from .model import ForecastOrigin, MvarParameters, companion_matrices
+from .model import SYMMETRY_TOL, ForecastOrigin, MvarParameters, _asymmetric, companion_matrices
 from .simulation import simulate_forward
 
 MOMENT_PSD_TOL = 1e-10
@@ -48,17 +48,17 @@ class MixtureNormalMV:
             )
         if not (np.isfinite(weights).all() and np.isfinite(means).all()):
             raise ValueError("mixture weights and means must be finite")
-        if np.any(weights <= 0.0):
+        if (weights <= 0.0).any():
             raise ValueError("mixture weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {weights.sum()!r}")
-        if not np.all(np.isfinite(covs)):
+        if not np.isfinite(covs).all():
             raise ValueError("mixture covariances have non-finite entries")
         asymmetric = _asymmetric(covs)
         if asymmetric.any():
             raise NotPositiveDefiniteError(
                 f"mixture component {int(np.argmax(asymmetric))} covariance is not symmetric "
-                f"within {MOMENT_PSD_TOL} relative"
+                f"within {SYMMETRY_TOL} relative"
             )
         try:
             np.linalg.cholesky(covs)
@@ -92,31 +92,19 @@ class MomentPair:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
-        if not np.all(np.isfinite(cov)):
+        if not np.isfinite(cov).all():
             raise ValueError("moment covariance has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(cov))) if cov.size else 1.0)
         if _asymmetric(cov):
             raise NotPositiveDefiniteError(
-                f"moment covariance is not symmetric within {MOMENT_PSD_TOL} relative"
+                f"moment covariance is not symmetric within {SYMMETRY_TOL} relative"
             )
-        if float(np.min(np.linalg.eigvalsh(cov))) < -MOMENT_PSD_TOL * scale:
+        scale = np.abs(cov).max(initial=1.0)
+        if np.linalg.eigvalsh(cov).min() < -MOMENT_PSD_TOL * scale:
             raise NotPositiveDefiniteError("moment covariance is not positive semidefinite")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-
-
-def _asymmetric(covs: np.ndarray) -> np.ndarray:
-    """Per matrix over the last two axes: ``max|C - C'| > MOMENT_PSD_TOL * max(1, max|C|)``.
-
-    The test is relative: rounding in ``A S A'`` leaves an asymmetry that grows
-    with the data scale, while ``np.linalg.cholesky`` reads only one triangle.
-    """
-    flat = covs.shape[:-2] + (-1,)
-    scale = np.abs(covs).reshape(flat).max(axis=-1, initial=1.0)
-    gap = np.abs(covs - np.swapaxes(covs, -1, -2)).reshape(flat).max(axis=-1, initial=0.0)
-    return gap > MOMENT_PSD_TOL * scale
 
 
 def _has_cholesky(cov: np.ndarray) -> bool:
@@ -139,6 +127,12 @@ def predictive_mixture(
     the labels' ``pi``; mean and covariance are the newest block of the
     companion-form state. Raises ``ValueError`` for ``horizon < 1`` and when
     g^horizon exceeds :data:`MAX_COMPONENTS`, before building anything.
+
+    Two products are skipped because their result is known. The origin's
+    state is observed, so the first step's covariance is ``E omega_k E'``
+    alone, with no ``A_k 0 A_k'``. The last step builds only the first m rows
+    and columns of ``A_k S A_k'``, the block that is returned. The means keep
+    the full ``d``-wide product at every step.
     """
     origin.check_dimensions(params.spec)
     g, m, p = params.spec.g, params.spec.m, params.spec.p
@@ -156,17 +150,21 @@ def predictive_mixture(
     weights = np.ones(1)
     means = np.zeros((1, d))
     means[0, :m * p] = origin.history[::-1].ravel()
-    covs = np.zeros((1, d, d))
-    for _ in range(horizon):
+    for step in range(1, horizon + 1):
+        rows = m if step == horizon else d
         # axis 0 is the new label k, axis 1 the component i it extends
         weights = np.outer(params.pi, weights).ravel()
+        # a narrower product for the means takes another BLAS path and moves bits
         means = means @ a_t
         means[:, :, :m] += params.theta0[:, None]
-        covs = a[:, None] @ covs @ a_t[:, None]
+        if step == 1:
+            covs = np.zeros((g, 1, rows, rows))
+        else:
+            covs = a[:, None, :rows] @ covs @ a_t[:, None, :, :rows]
         covs[:, :, :m, :m] += params.omega[:, None]
         means = means.reshape(-1, d)
-        covs = covs.reshape(-1, d, d)
-    return MixtureNormalMV(weights=weights, means=means[:, :m], covs=covs[:, :m, :m],
+        covs = covs.reshape(-1, rows, rows)
+    return MixtureNormalMV(weights=weights, means=means[:, :m], covs=covs,
                            horizon=horizon, origin_time=origin.t)
 
 

@@ -39,6 +39,18 @@ SYMMETRY_TOL = 1e-10
 STABILITY_TOL = 1e-10
 
 
+def _asymmetric(covs: np.ndarray) -> np.ndarray:
+    """Per matrix over the last two axes: ``max|C - C'| > SYMMETRY_TOL * max(1, max|C|)``.
+
+    The test is relative: rounding in ``A S A'`` or in an estimate leaves an
+    asymmetry that grows with the data scale, while a Cholesky factorisation
+    reads only one triangle.
+    """
+    scale = np.abs(covs).max(axis=(-2, -1), initial=1.0)
+    gap = np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    return gap > SYMMETRY_TOL * scale
+
+
 def _frozen(a, dtype=float) -> np.ndarray:
     """Copy ``a`` to a read-only float array."""
     out = np.array(a, dtype=dtype)
@@ -137,9 +149,9 @@ class MvarParameters:
             ok = omega[k]
             if not np.all(np.isfinite(ok)):
                 raise NotPositiveDefiniteError(f"omega[{k}] has non-finite entries")
-            if np.max(np.abs(ok - ok.T)) > SYMMETRY_TOL:
+            if _asymmetric(ok):
                 raise NotPositiveDefiniteError(
-                    f"omega[{k}] is not symmetric within {SYMMETRY_TOL}"
+                    f"omega[{k}] is not symmetric within {SYMMETRY_TOL} relative"
                 )
             try:
                 chols[k] = scipy.linalg.cholesky(ok, lower=True)

@@ -7,8 +7,10 @@ weights come from the classical two-fund frontier applied to the conditional
 moments, with short selling allowed. :func:`horizon_portfolio` is the one
 path from a model and an origin to a portfolio: predictive mixture, its
 moments, the Markowitz solve, then the projection. All covariance inverses
-are applied via Cholesky solves; explicit matrix inverses appear only in test
-oracles.
+are applied via Cholesky solves, LAPACK's ``potrf`` and ``potrs`` called
+directly: explicit finiteness tests of the covariance and the mean stand in
+for scipy's ``check_finite`` passes. Explicit matrix inverses appear only in
+test oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .exceptions import DegenerateFrontierError, DimensionError, NotPositiveDefiniteError
 from .forecasting import MixtureNormalMV, mixture_moments, predictive_mixture
@@ -42,13 +44,14 @@ class MixtureNormal1D:
         sds = np.array(self.sds, dtype=float)
         if not (weights.shape == means.shape == sds.shape) or weights.ndim != 1:
             raise DimensionError("weights, means and sds must be equal-length vectors")
-        if not np.isfinite((weights, means, sds)).all():
+        if not (np.isfinite(weights).all() and np.isfinite(means).all()
+                and np.isfinite(sds).all()):
             raise ValueError("mixture weights, means and sds must be finite")
-        if np.any(weights <= 0.0):
+        if (weights <= 0.0).any():
             raise ValueError("mixture weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {weights.sum()!r}")
-        if np.any(sds <= 0.0):
+        if (sds <= 0.0).any():
             raise ValueError("component standard deviations must be strictly positive")
         for a in (weights, means, sds):
             a.setflags(write=False)
@@ -109,7 +112,7 @@ def project(mix: MixtureNormalMV, w) -> MixtureNormal1D:
         raise DimensionError(f"weight vector must have length {mix.m}, got shape {w.shape}")
     means = mix.means @ w
     variances = np.einsum("a,jab,b->j", w, mix.covs, w)
-    if np.any(variances <= 0.0):
+    if (variances <= 0.0).any():
         raise NotPositiveDefiniteError(
             "projected component variance <= 0: a component covariance is not positive definite"
         )
@@ -132,16 +135,32 @@ def scalar_mixture_moments(mix: MixtureNormal1D) -> tuple[float, float]:
 def _frontier(
     mean: np.ndarray, cov: np.ndarray
 ) -> tuple[MarkowitzCoefficients, np.ndarray, np.ndarray]:
-    """Frontier scalars with ``Omega^-1 1`` and ``Omega^-1 mu``, from one Cholesky factorisation."""
+    """Frontier scalars with ``Omega^-1 1`` and ``Omega^-1 mu``, from one Cholesky factorisation.
+
+    Raises ``ValueError`` for a non-finite mean or covariance,
+    :class:`DimensionError` for mismatched shapes and
+    :class:`NotPositiveDefiniteError` when the factorisation fails.
+    """
     m = mean.shape[0]
     if cov.shape != (m, m):
         raise DimensionError(f"cov must be ({m},{m}), got {cov.shape}")
-    try:
-        factor = scipy.linalg.cho_factor(cov, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"covariance is not positive definite: {exc}") from exc
+    if m == 0:
+        raise NotPositiveDefiniteError("an empty covariance has no frontier: c = 0")
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance must be finite")
+    factor, info = lapack.dpotrf(cov, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"covariance is not positive definite: leading minor {info} is not positive"
+        )
+    if info < 0:
+        raise ValueError(f"LAPACK potrf rejected its argument {-info}")
+    if not np.isfinite(mean).all():
+        raise ValueError("mean must be finite")
     ones = np.ones(m)
-    sol = scipy.linalg.cho_solve(factor, np.column_stack([ones, mean]))
+    sol, info = lapack.dpotrs(factor, np.array([ones, mean]).T, lower=1)
+    if info != 0:
+        raise ValueError(f"LAPACK potrs rejected its argument {-info}")
     x, y = sol[:, 0], sol[:, 1]          # Omega^-1 1, Omega^-1 mu
     a = float(ones @ y)
     b = float(mean @ y)

@@ -43,11 +43,9 @@ QUANTILE_CDF_TOL = 1e-10
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def norm_pdf(x):
-    """Standard normal density."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / _SQRT_2PI
-    return out if out.ndim else float(out)
+def _phi(z: np.ndarray) -> np.ndarray:
+    """Standard normal density of an array."""
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class RiskReport:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if not (np.isfinite(self.var) and np.isfinite(self.es)):
+        if not (math.isfinite(self.var) and math.isfinite(self.es)):
             raise ValueError("VaR and ES must be finite")
         if self.es > self.var + 1e-12:
             raise ValueError(f"expected shortfall {self.es} exceeds VaR {self.var}")
@@ -165,8 +163,8 @@ def mixture_quantile(mix: MixtureNormal1D, q: float) -> float:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
     weights, means, sds = mix.weights, mix.means, mix.sds
     cdf = functools.partial(_cdf, weights, means, sds)
-    lo = float(np.min(means - 10.0 * sds))
-    hi = float(np.max(means + 10.0 * sds))
+    lo = float((means - 10.0 * sds).min())
+    hi = float((means + 10.0 * sds).max())
     cdf_lo, cdf_hi = cdf(np.array([[lo], [hi]]))
     if not cdf_lo < q:
         lo = _step_until(lambda v: cdf(v) < q, lo, -(hi - lo),
@@ -181,7 +179,7 @@ def mixture_quantile(mix: MixtureNormal1D, q: float) -> float:
     # Newton terminates on x-tolerance; polish by bisection if the CDF residual
     # is still above the contract (possible only for nearly flat regions).
     # One evaluation serves the residual check and the flat-stretch probe.
-    probe = x - float(np.max(sds))
+    probe = x - float(sds.max())
     cdf_x, cdf_probe = cdf(np.array([[x], [probe]]))
     if abs(cdf_x - q) > QUANTILE_CDF_TOL:
         a = _step_until(lambda v: cdf(v) <= q, x - 1e-6, -1e-6,
@@ -192,7 +190,7 @@ def mixture_quantile(mix: MixtureNormal1D, q: float) -> float:
         x = 0.5 * (a + b)
         if abs(cdf(x) - q) > QUANTILE_CDF_TOL:
             raise BracketError(f"quantile refinement failed at q={q}")
-        probe = x - float(np.max(sds))
+        probe = x - float(sds.max())
         cdf_probe = cdf(probe)
 
     def left_of_band(v):
@@ -216,7 +214,7 @@ def var_es(mix: MixtureNormal1D, alpha: float = 0.95) -> RiskReport:
     weights, means, sds = mix.weights, mix.means, mix.sds
     var = mixture_quantile(mix, 1.0 - alpha)
     z = (var - means) / sds
-    partial = weights @ (means * ndtr(z) - sds * norm_pdf(z))
+    partial = weights @ (means * ndtr(z) - sds * _phi(z))
     es = float(partial / (1.0 - alpha))
     return RiskReport(alpha=alpha, var=var, es=es)
 
@@ -224,7 +222,7 @@ def var_es(mix: MixtureNormal1D, alpha: float = 0.95) -> RiskReport:
 def _crps_kernel(diff, scale):
     """E|A - B| for A - B ~ N(diff, scale^2): diff (2 Phi(diff/scale) - 1) + 2 scale phi(diff/scale)."""
     z = diff / scale
-    return diff * (2.0 * ndtr(z) - 1.0) + 2.0 * scale * norm_pdf(z)
+    return diff * (2.0 * ndtr(z) - 1.0) + 2.0 * scale * _phi(z)
 
 
 def crps_mixture(mix: MixtureNormal1D, x):

@@ -57,6 +57,16 @@ class TestOneStep:
         assert np.allclose(mix.means, params.theta0)
         assert np.allclose(mix.weights, [0.4, 0.6])
 
+    @pytest.mark.parametrize("seed,g,m,orders", [(1, 1, 1, (0,)), (2, 2, 3, (2, 1)),
+                                                 (3, 3, 2, (0, 1, 3)), (4, 1, 4, (2,))])
+    def test_model_weights_and_covariances_bit_for_bit(self, seed, g, m, orders):
+        # the origin's state is known, so h=1 adds nothing to pi and omega
+        params = mixed_order_params(seed, g, m, orders)
+        history = np.random.default_rng(seed).normal(size=(params.spec.p, m))
+        mix = predictive_mixture(params, ForecastOrigin(history=history, t=5), 1)
+        assert mix.weights.tobytes() == params.pi.tobytes()
+        assert mix.covs.tobytes() == params.omega.tobytes()
+
     def test_g1_var_one_step(self):
         params = scalar_var1(0.3, 0.5, 2.0)
         mix = predictive_one_step(params, ForecastOrigin(history=[[4.0]], t=0))

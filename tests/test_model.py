@@ -67,6 +67,21 @@ class TestValidation:
                            theta=np.zeros((1, 0, 2, 2)),
                            omega=[[[1.0, 0.5], [0.2, 1.0]]])
 
+    def test_omega_symmetry_is_relative_to_scale(self):
+        # at data scale 1e6 an estimated omega is ~1e12: rounding leaves an
+        # absolute asymmetry far above 1e-10 that is ~1e-15 relative to its size
+        rng = np.random.default_rng(11)
+        spec = ModelSpec(2, 3, (0, 0))
+        omega = np.stack([random_spd(rng, 3), random_spd(rng, 3)]) * 1e12
+        size = float(np.abs(omega[1]).max())
+        omega[1, 0, 2] += 1e-15 * size
+        fields = dict(spec=spec, pi=[0.5, 0.5], theta0=np.zeros((2, 3)), theta=np.zeros((2, 0, 3, 3)))
+        params = MvarParameters(**fields, omega=omega)
+        assert params.omega[1, 0, 2] != params.omega[1, 2, 0]
+        omega[1, 0, 2] += 1e-9 * size
+        with pytest.raises(NotPositiveDefiniteError, match=r"omega\[1\] is not symmetric"):
+            MvarParameters(**fields, omega=omega)
+
     def test_padding_beyond_component_order_must_be_zero(self):
         spec = ModelSpec(2, 1, (1, 0))       # component 2 has order 0, p = 1
         theta = np.zeros((2, 1, 1, 1))

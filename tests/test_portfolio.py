@@ -5,8 +5,10 @@ import pytest
 
 from mvarkit import (
     DegenerateFrontierError,
+    DimensionError,
     ForecastOrigin,
     MixtureNormal1D,
+    NotPositiveDefiniteError,
     efficient_weights,
     horizon_portfolio,
     markowitz_coefficients,
@@ -161,6 +163,42 @@ class TestMarkowitzCoefficients:
             assert c.b == pytest.approx(b, abs=1e-10)
             assert c.c == pytest.approx(cc, abs=1e-10)
             assert c.d == pytest.approx(d, abs=1e-10)
+
+
+FRONTIER_CALLS = {
+    "markowitz_coefficients": markowitz_coefficients,
+    "mvp_weights": mvp_weights,
+    "efficient_weights": lambda mean, cov: efficient_weights(mean, cov, target=0.3),
+}
+
+
+@pytest.mark.parametrize("call", FRONTIER_CALLS.values(), ids=FRONTIER_CALLS.keys())
+class TestFrontierErrors:
+    MEAN = np.array([0.1, -0.2, 0.3])
+    COV = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["mean", "cov"])
+    def test_non_finite_input(self, call, where, bad):
+        mean, cov = self.MEAN.copy(), self.COV.copy()
+        if where == "mean":
+            mean[1] = bad
+        else:
+            cov[0, 2] = cov[2, 0] = bad
+        with pytest.raises(ValueError) as info:
+            call(mean, cov)
+        assert info.type is ValueError
+
+    def test_indefinite_cov(self, call):
+        cov = self.COV.copy()
+        cov[0, 1] = cov[1, 0] = 3.0
+        with pytest.raises(NotPositiveDefiniteError):
+            call(self.MEAN, cov)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4)])
+    def test_shape_mismatch(self, call, shape):
+        with pytest.raises(DimensionError):
+            call(self.MEAN, np.eye(*shape))
 
 
 class TestMvp:

@@ -29,13 +29,13 @@ from mvarkit import (
     crps_mixture,
     efficient_weights,
     em_fit,
+    horizon_portfolio,
     is_stable,
     mixture_moments,
     mvp_weights,
     predictive_one_step,
     project,
     simulate,
-    two_step_portfolio,
     var_es,
 )
 
@@ -102,7 +102,7 @@ def main() -> int:
     print(f"  VaR95 {risk1.var:.4f}  ES95 {risk1.es:.4f}  "
           f"realized {realized1:.4f}  CRPS {crps_mixture(rmix1, realized1):.4f}")
 
-    sol2, rmix2 = two_step_portfolio(report.params, origin)
+    sol2, rmix2 = horizon_portfolio(report.params, origin, 2)
     risk2 = var_es(rmix2, alpha=0.95)
     realized2 = float(sol2.weights @ series.values[-1])
     print(f"\nh=2 minimum variance portfolio: weights {np.round(sol2.weights, 4).tolist()}, "

@@ -65,7 +65,6 @@ from .portfolio import (
     mvp_weights,
     project,
     scalar_mixture_moments,
-    two_step_portfolio,
 )
 from .risk import RiskReport, crps_mixture, mixture_cdf, mixture_pdf, mixture_quantile, var_es
 from .simulation import RNG_ALGORITHM, SimulationConfig, SimulationResult, simulate, simulate_forward

@@ -57,10 +57,6 @@ def _load_series(args) -> SeriesMatrix:
     return series
 
 
-def _origin_for(params, series: SeriesMatrix) -> ForecastOrigin:
-    return ForecastOrigin.from_series(series, params.spec.p)
-
-
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
@@ -77,8 +73,7 @@ def cmd_simulate(args) -> int:
         "n": config.n,
         "rng": RNG_ALGORITHM,
         "seed": config.seed,
-        "spec": {"g": model.params.spec.g, "m": model.params.spec.m,
-                 "orders": list(model.params.spec.orders)},
+        "spec": mio._spec_to_dict(model.params.spec),
     }
     config_path = str(args.out)
     config_path = config_path[: -len(".csv")] + ".json" if config_path.endswith(".csv") \
@@ -137,7 +132,7 @@ def cmd_fit(args) -> int:
                                max_iter=args.max_iter, tol=args.tol)
         _say(args, f"rank  {'model':<18} {args.criterion.upper():>12}")
         for rank, cand in enumerate(results, start=1):
-            label = f"MVAR({cand.spec.g};{','.join(map(str, cand.spec.orders))})"
+            label = str(cand.spec)
             if cand.error is None:
                 _say(args, f"{rank:>4}  {label:<18} {cand.score:12.4f}")
             else:
@@ -167,7 +162,7 @@ def cmd_fit(args) -> int:
 def cmd_forecast(args) -> int:
     model = mio.load_model(args.model)
     series = _load_series(args)
-    origin = _origin_for(model.params, series)
+    origin = ForecastOrigin.from_series(series, model.params.spec.p)
     analytic = args.horizon <= 2
     if args.grid_out and not analytic:
         print("error: --grid-out requires an analytic horizon (1 or 2)", file=sys.stderr)
@@ -218,7 +213,7 @@ def cmd_forecast(args) -> int:
 def cmd_portfolio(args) -> int:
     model = mio.load_model(args.model)
     series = _load_series(args)
-    origin = _origin_for(model.params, series)
+    origin = ForecastOrigin.from_series(series, model.params.spec.p)
     sol, return_mix = horizon_portfolio(model.params, origin, args.horizon, args.target)
     payload = {
         "kind": sol.kind,

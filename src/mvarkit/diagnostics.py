@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SeriesMatrix
+from .model import SeriesMatrix, _frozen
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,8 @@ class CorrelationTable:
     band: float
 
     def __post_init__(self):
-        for a in (self.lags, self.values):
-            np.asarray(a).setflags(write=False)
+        object.__setattr__(self, "lags", _frozen(self.lags, dtype=int))
+        object.__setattr__(self, "values", _frozen(self.values))
 
 
 def acf_ccf(series: SeriesMatrix, max_lag: int) -> CorrelationTable:

@@ -49,6 +49,10 @@ from .model import (
     ModelSpec,
     MvarParameters,
     SeriesMatrix,
+    _frozen,
+    _require_finite,
+    _require_shape,
+    _stacked,
     gaussian_log_densities,
     log_normalise,
     regressor_matrix,
@@ -67,16 +71,13 @@ class Responsibilities:
     tau: np.ndarray   # (n-p, g)
 
     def __post_init__(self):
-        tau = np.array(self.tau, dtype=float)
-        if tau.ndim != 2:
-            raise DimensionError(f"tau must be 2-d, got shape {tau.shape}")
-        if not np.all(np.isfinite(tau)):
-            raise ValueError("responsibilities must be finite")
+        tau = _frozen(self.tau)
+        _require_shape(tau, ("n", "g"), "tau")
+        _require_finite(tau, "tau")
         if np.any(tau < 0.0):
             raise ValueError("responsibilities must be nonnegative")
         if np.max(np.abs(tau.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
             raise ValueError(f"responsibility rows must sum to 1 within {ROW_SUM_TOL}")
-        tau.setflags(write=False)
         object.__setattr__(self, "tau", tau)
 
 
@@ -112,24 +113,6 @@ class _Design:
         """
         xy = np.concatenate([self.x, self.y], axis=1)
         return (self.x[:, :, None] * xy[:, None, :]).reshape(self.x.shape[0], -1)
-
-
-def _stacked(fn, out_shape, *arrays) -> np.ndarray:
-    """Apply an ``np.linalg`` function over stacked matrices; failing slices come back NaN.
-
-    ``np.linalg`` raises for the whole stack when a single slice fails, so on
-    failure every slice is redone alone and only the offenders are left NaN.
-    """
-    try:
-        return fn(*arrays)
-    except np.linalg.LinAlgError:
-        out = np.full(out_shape, np.nan)
-        for ix in np.ndindex(arrays[0].shape[:-2]):
-            try:
-                out[ix] = fn(*(a[ix] for a in arrays))
-            except np.linalg.LinAlgError:
-                pass
-        return out
 
 
 class _Update(NamedTuple):

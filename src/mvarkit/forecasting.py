@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NotPositiveDefiniteError
-from .model import SYMMETRY_TOL, ForecastOrigin, MvarParameters, _asymmetric, companion_matrices
+from .exceptions import NotPositiveDefiniteError
+from .model import (ForecastOrigin, MvarParameters, _frozen, _require_finite, _require_shape,
+                    _require_symmetric, _require_weights, _stacked, companion_matrices)
 from .simulation import simulate_forward
 
 MOMENT_PSD_TOL = 1e-10
@@ -37,38 +38,25 @@ class MixtureNormalMV:
     origin_time: int
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
-        means = np.array(self.means, dtype=float)
-        covs = np.array(self.covs, dtype=float)
+        weights = _frozen(self.weights)
+        means = _frozen(self.means)
+        covs = _frozen(self.covs)
+        _require_shape(weights, ("c",), "weights")
         c = weights.shape[0]
-        if means.shape[0] != c or covs.shape[0] != c:
-            raise DimensionError(
-                f"component count mismatch: {c} weights, {means.shape[0]} means, "
-                f"{covs.shape[0]} covariances"
-            )
-        if not (np.isfinite(weights).all() and np.isfinite(means).all()):
-            raise ValueError("mixture weights and means must be finite")
-        if (weights <= 0.0).any():
-            raise ValueError("mixture weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {weights.sum()!r}")
-        if not np.isfinite(covs).all():
-            raise ValueError("mixture covariances have non-finite entries")
-        asymmetric = _asymmetric(covs)
-        if asymmetric.any():
-            raise NotPositiveDefiniteError(
-                f"mixture component {int(np.argmax(asymmetric))} covariance is not symmetric "
-                f"within {SYMMETRY_TOL} relative"
-            )
+        _require_shape(means, (c, "m"), "means")
+        m = means.shape[1]
+        _require_shape(covs, (c, m, m), "covs")
+        _require_weights(weights, "weights")
+        _require_finite(means, "means")
+        _require_finite(covs, "covs")
+        _require_symmetric(covs, "mixture component {} covariance")
         try:
             np.linalg.cholesky(covs)
         except np.linalg.LinAlgError as exc:
-            j = next((j for j in range(c) if not _has_cholesky(covs[j])), None)
+            failed = np.isnan(_stacked(np.linalg.cholesky, covs.shape, covs)).any(axis=(1, 2))
             raise NotPositiveDefiniteError(
-                f"mixture component {j} covariance is not positive definite"
+                f"mixture component {int(np.argmax(failed))} covariance is not positive definite"
             ) from exc
-        for a in (weights, means, covs):
-            a.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
@@ -90,29 +78,20 @@ class MomentPair:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
-        if not np.isfinite(cov).all():
-            raise ValueError("moment covariance has non-finite entries")
-        if _asymmetric(cov):
-            raise NotPositiveDefiniteError(
-                f"moment covariance is not symmetric within {SYMMETRY_TOL} relative"
-            )
-        scale = np.abs(cov).max(initial=1.0)
-        if np.linalg.eigvalsh(cov).min() < -MOMENT_PSD_TOL * scale:
+        mean = _frozen(self.mean)
+        cov = _frozen(self.cov)
+        _require_shape(mean, ("m",), "mean")
+        m = mean.shape[0]
+        _require_shape(cov, (m, m), "cov")
+        _require_finite(mean, "mean")
+        _require_finite(cov, "cov")
+        _require_symmetric(cov, "moment covariance")
+        low = np.linalg.eigvalsh(cov).min()
+        # the tolerance scale is needed only for a negative eigenvalue
+        if low < 0.0 and low < -MOMENT_PSD_TOL * np.abs(cov).max(initial=1.0):
             raise NotPositiveDefiniteError("moment covariance is not positive semidefinite")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-
-
-def _has_cholesky(cov: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def predictive_mixture(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataFormatError, ModelFileError
-from .model import ModelSpec, MvarParameters, SeriesMatrix
+from .model import ModelSpec, MvarParameters, SeriesMatrix, _frozen
 from .portfolio import MixtureNormal1D, scalar_mixture_moments
 from .risk import mixture_pdf
 
@@ -41,7 +41,7 @@ class PriceTable:
     prices: np.ndarray
 
     def __post_init__(self):
-        prices = np.array(self.prices, dtype=float)
+        prices = _frozen(self.prices)
         if prices.ndim != 2 or prices.shape != (len(self.dates), len(self.names)):
             raise DataFormatError(
                 f"prices shape {prices.shape} does not match {len(self.dates)} dates "
@@ -52,7 +52,6 @@ class PriceTable:
         if np.any(prices <= 0.0):
             raise DataFormatError("prices must be strictly positive")
         _check_dates(self.dates)
-        prices.setflags(write=False)
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "names", tuple(self.names))

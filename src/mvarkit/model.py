@@ -15,6 +15,15 @@ the exact predictive mixtures share.
 
 All objects are immutable after construction (arrays are marked read-only)
 and safe to share across threads.
+
+The value types' invariants live here, once each, for every module's
+constructors: ``_require_shape`` (:class:`DimensionError`),
+``_require_finite`` and ``_require_positive`` (``ValueError``),
+``_require_weights`` (finite, strictly positive, summing to 1 within
+:data:`WEIGHT_SUM_TOL`) and
+``_require_symmetric`` (the relative test of ``_asymmetric``,
+:class:`NotPositiveDefiniteError`); ``_frozen`` makes the read-only copy
+that every value type stores.
 """
 
 from __future__ import annotations
@@ -40,13 +49,15 @@ STABILITY_TOL = 1e-10
 
 
 def _asymmetric(covs: np.ndarray) -> np.ndarray:
-    """Per matrix over the last two axes: ``max|C - C'| > SYMMETRY_TOL * max(1, max|C|)``.
+    """Per matrix over the last two axes: ``max|C - C'| > SYMMETRY_TOL * max|C|``.
 
-    The test is relative: rounding in ``A S A'`` or in an estimate leaves an
-    asymmetry that grows with the data scale, while a Cholesky factorisation
-    reads only one triangle.
+    The test is relative at every scale: rounding in ``A S A'`` or in an
+    estimate leaves an asymmetry that grows and shrinks with the data scale,
+    while a Cholesky factorisation reads only one triangle. An all-zero matrix
+    passes; where ``SYMMETRY_TOL * max|C|`` underflows to zero (subnormal
+    matrices), any asymmetry fails.
     """
-    scale = np.abs(covs).max(axis=(-2, -1), initial=1.0)
+    scale = np.abs(covs).max(axis=(-2, -1), initial=0.0)
     gap = np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1), initial=0.0)
     return gap > SYMMETRY_TOL * scale
 
@@ -56,6 +67,80 @@ def _frozen(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _require_shape(a: np.ndarray, shape: tuple, name: str) -> None:
+    """Raise :class:`DimensionError` unless ``a.shape`` is ``shape``.
+
+    An integer entry must match exactly; a string entry (``"m"``) matches any
+    length and names it in the message.
+    """
+    if a.shape == shape:
+        return
+    if a.ndim == len(shape):
+        for want, got in zip(shape, a.shape):
+            if want != got and not isinstance(want, str):
+                break
+        else:
+            return
+    wanted = ",".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+    raise DimensionError(f"{name} must have shape ({wanted}), got {a.shape}")
+
+
+def _require_finite(a: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` if ``a`` has a NaN or infinite entry.
+
+    This helper and the three below test with ``np.count_nonzero``, which on
+    the small arrays of a constructor costs about half of an ``.all()`` or
+    ``.any()`` reduction.
+    """
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError(f"{name} has non-finite entries")
+
+
+def _require_positive(a: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless every entry of the finite array ``a`` is above 0."""
+    if np.count_nonzero(a <= 0.0):
+        raise ValueError(f"{name} must be strictly positive, got {a}")
+
+
+def _require_weights(w: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless ``w`` is finite, strictly positive and sums to 1 within
+    :data:`WEIGHT_SUM_TOL`."""
+    _require_finite(w, name)
+    _require_positive(w, name)
+    total = w.sum()
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"{name} must sum to 1 within {WEIGHT_SUM_TOL}, got sum {total!r}")
+
+
+def _require_symmetric(covs: np.ndarray, label: str) -> None:
+    """Raise :class:`NotPositiveDefiniteError` if a matrix of ``covs`` (..., m, m) fails
+    :func:`_asymmetric`; ``label.format(i)`` names the first failing index ``i``."""
+    asymmetric = _asymmetric(covs)
+    if np.count_nonzero(asymmetric):
+        raise NotPositiveDefiniteError(
+            f"{label.format(int(np.argmax(asymmetric)))} is not symmetric within "
+            f"{SYMMETRY_TOL} relative"
+        )
+
+
+def _stacked(fn, out_shape, *arrays) -> np.ndarray:
+    """Apply an ``np.linalg`` function over stacked matrices; failing slices come back NaN.
+
+    ``np.linalg`` raises for the whole stack when a single slice fails, so on
+    failure every slice is redone alone and only the offenders are left NaN.
+    """
+    try:
+        return fn(*arrays)
+    except np.linalg.LinAlgError:
+        out = np.full(out_shape, np.nan)
+        for ix in np.ndindex(arrays[0].shape[:-2]):
+            try:
+                out[ix] = fn(*(a[ix] for a in arrays))
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 @dataclass(frozen=True)
@@ -117,26 +202,18 @@ class MvarParameters:
         g, m, p = spec.g, spec.m, spec.p
         pi = _frozen(self.pi)
         theta0 = _frozen(self.theta0)
-        raw_theta = np.asarray(self.theta, dtype=float)
-        if raw_theta.size != g * p * m * m:
-            raise DimensionError(
-                f"theta must have shape ({g},{p},{m},{m}), got {raw_theta.shape}"
-            )
-        theta = _frozen(raw_theta.reshape(g, p, m, m))
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.size == g * p * m * m:   # a p=0 theta read from JSON has lost its last axes
+            theta = theta.reshape(g, p, m, m)
+        theta = _frozen(theta)
         omega = _frozen(self.omega)
-        if pi.shape != (g,):
-            raise DimensionError(f"pi must have shape ({g},), got {pi.shape}")
-        if theta0.shape != (g, m):
-            raise DimensionError(f"theta0 must have shape ({g},{m}), got {theta0.shape}")
-        if omega.shape != (g, m, m):
-            raise DimensionError(f"omega must have shape ({g},{m},{m}), got {omega.shape}")
-        for name, values in (("pi", pi), ("theta0", theta0), ("theta", theta)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} has non-finite entries")
-        if np.any(pi <= 0.0):
-            raise ValueError(f"mixing weights must be strictly positive, got {pi}")
-        if abs(pi.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"mixing weights must sum to 1 within {WEIGHT_SUM_TOL}, got sum {pi.sum()!r}")
+        _require_shape(theta, (g, p, m, m), "theta")
+        _require_shape(pi, (g,), "pi")
+        _require_shape(theta0, (g, m), "theta0")
+        _require_shape(omega, (g, m, m), "omega")
+        _require_weights(pi, "pi")
+        for name, values in (("theta0", theta0), ("theta", theta), ("omega", omega)):
+            _require_finite(values, name)
         for k in range(g):
             for lag in range(spec.orders[k], p):
                 if np.any(theta[k, lag] != 0.0):
@@ -144,17 +221,11 @@ class MvarParameters:
                         f"theta[{k},{lag}] must be a zero block: lag {lag + 1} exceeds "
                         f"component order {spec.orders[k]}"
                     )
+        _require_symmetric(omega, "omega[{}]")
         chols = np.empty((g, m, m))
         for k in range(g):
-            ok = omega[k]
-            if not np.all(np.isfinite(ok)):
-                raise NotPositiveDefiniteError(f"omega[{k}] has non-finite entries")
-            if _asymmetric(ok):
-                raise NotPositiveDefiniteError(
-                    f"omega[{k}] is not symmetric within {SYMMETRY_TOL} relative"
-                )
             try:
-                chols[k] = scipy.linalg.cholesky(ok, lower=True)
+                chols[k] = scipy.linalg.cholesky(omega[k], lower=True)
             except scipy.linalg.LinAlgError as exc:
                 raise NotPositiveDefiniteError(f"omega[{k}] is not positive definite: {exc}") from exc
         chols.setflags(write=False)
@@ -204,12 +275,9 @@ class SeriesMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 2:
-            raise DimensionError(f"series must be 2-d (n, m), got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("series contains non-finite entries")
-        values.setflags(write=False)
+        values = _frozen(self.values)
+        _require_shape(values, ("n", "m"), "series")
+        _require_finite(values, "series")
         object.__setattr__(self, "values", values)
 
     @property
@@ -233,12 +301,9 @@ class ForecastOrigin:
     t: int
 
     def __post_init__(self):
-        history = np.array(self.history, dtype=float)
-        if history.ndim != 2:
-            raise DimensionError(f"history must be 2-d (p, m), got shape {history.shape}")
-        if not np.all(np.isfinite(history)):
-            raise ValueError("history has non-finite entries")
-        history.setflags(write=False)
+        history = _frozen(self.history)
+        _require_shape(history, ("p", "m"), "history")
+        _require_finite(history, "history")
         object.__setattr__(self, "history", history)
 
     @classmethod
@@ -251,10 +316,7 @@ class ForecastOrigin:
         return cls(history=series.values[t - p + 1: t + 1], t=t)
 
     def check_dimensions(self, spec: ModelSpec) -> None:
-        if self.history.shape != (spec.p, spec.m):
-            raise DimensionError(
-                f"origin history has shape {self.history.shape}, model needs ({spec.p},{spec.m})"
-            )
+        _require_shape(self.history, (spec.p, spec.m), "origin history")
 
 
 def _check_series(params: MvarParameters, series: SeriesMatrix) -> None:

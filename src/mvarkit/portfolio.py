@@ -22,7 +22,8 @@ from scipy.linalg import lapack
 
 from .exceptions import DegenerateFrontierError, DimensionError, NotPositiveDefiniteError
 from .forecasting import MixtureNormalMV, mixture_moments, predictive_mixture
-from .model import ForecastOrigin, MvarParameters
+from .model import (ForecastOrigin, MvarParameters, _frozen, _require_finite, _require_positive,
+                    _require_shape, _require_weights)
 
 DEGENERATE_FRONTIER_TOL = 1e-12
 BUDGET_TOL = 1e-10
@@ -39,22 +40,16 @@ class MixtureNormal1D:
     origin_time: int
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
-        means = np.array(self.means, dtype=float)
-        sds = np.array(self.sds, dtype=float)
-        if not (weights.shape == means.shape == sds.shape) or weights.ndim != 1:
-            raise DimensionError("weights, means and sds must be equal-length vectors")
-        if not (np.isfinite(weights).all() and np.isfinite(means).all()
-                and np.isfinite(sds).all()):
-            raise ValueError("mixture weights, means and sds must be finite")
-        if (weights <= 0.0).any():
-            raise ValueError("mixture weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {weights.sum()!r}")
-        if (sds <= 0.0).any():
-            raise ValueError("component standard deviations must be strictly positive")
-        for a in (weights, means, sds):
-            a.setflags(write=False)
+        weights = _frozen(self.weights)
+        means = _frozen(self.means)
+        sds = _frozen(self.sds)
+        _require_shape(weights, ("c",), "weights")
+        _require_shape(means, weights.shape, "means")
+        _require_shape(sds, weights.shape, "sds")
+        _require_weights(weights, "weights")
+        _require_finite(means, "means")
+        _require_finite(sds, "sds")
+        _require_positive(sds, "sds")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sds", sds)
@@ -92,12 +87,13 @@ class PortfolioSolution:
     horizon: int
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
+        weights = _frozen(self.weights)
+        _require_shape(weights, ("m",), "weights")
+        _require_finite(weights, "weights")
         if abs(weights.sum() - 1.0) > BUDGET_TOL:
             raise ValueError(f"portfolio weights must sum to 1 within {BUDGET_TOL}")
         if self.kind not in ("mvp", "efficient"):
             raise ValueError(f"kind must be 'mvp' or 'efficient', got {self.kind!r}")
-        weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
 
@@ -141,13 +137,12 @@ def _frontier(
     :class:`DimensionError` for mismatched shapes and
     :class:`NotPositiveDefiniteError` when the factorisation fails.
     """
+    _require_shape(mean, ("m",), "mean")
     m = mean.shape[0]
-    if cov.shape != (m, m):
-        raise DimensionError(f"cov must be ({m},{m}), got {cov.shape}")
+    _require_shape(cov, (m, m), "cov")
     if m == 0:
         raise NotPositiveDefiniteError("an empty covariance has no frontier: c = 0")
-    if not np.isfinite(cov).all():
-        raise ValueError("covariance must be finite")
+    _require_finite(cov, "cov")
     factor, info = lapack.dpotrf(cov, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefiniteError(
@@ -155,8 +150,7 @@ def _frontier(
         )
     if info < 0:
         raise ValueError(f"LAPACK potrf rejected its argument {-info}")
-    if not np.isfinite(mean).all():
-        raise ValueError("mean must be finite")
+    _require_finite(mean, "mean")
     ones = np.ones(m)
     sol, info = lapack.dpotrs(factor, np.array([ones, mean]).T, lower=1)
     if info != 0:
@@ -234,12 +228,3 @@ def horizon_portfolio(
     else:
         sol = efficient_weights(mom.mean, mom.cov, target, horizon=horizon)
     return sol, project(mix, sol.weights)
-
-
-def two_step_portfolio(
-    params: MvarParameters,
-    origin: ForecastOrigin,
-    target: float | None = None,
-) -> tuple[PortfolioSolution, MixtureNormal1D]:
-    """The horizon-2 case of :func:`horizon_portfolio`."""
-    return horizon_portfolio(params, origin, 2, target)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError
-from .model import MvarParameters, SeriesMatrix, _regressor_row, stacked_coefficients
+from .model import (MvarParameters, SeriesMatrix, _frozen, _regressor_row, _require_finite,
+                    _require_shape, stacked_coefficients)
 
 #: numpy's default bit generator; per-start/per-chunk substreams are spawned
 #: from a SeedSequence, which is the documented splittable-stream mechanism.
@@ -39,15 +39,9 @@ class SimulationConfig:
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.initial is not None:
-            init = np.array(self.initial, dtype=float)
-            p, m = self.params.spec.p, self.params.spec.m
-            if init.shape != (p, m):
-                raise DimensionError(
-                    f"initial must have shape ({p},{m}), got {init.shape}"
-                )
-            if not np.all(np.isfinite(init)):
-                raise ValueError("initial has non-finite entries")
-            init.setflags(write=False)
+            init = _frozen(self.initial)
+            _require_shape(init, (self.params.spec.p, self.params.spec.m), "initial")
+            _require_finite(init, "initial")
             object.__setattr__(self, "initial", init)
 
 
@@ -144,10 +138,8 @@ def simulate_forward(
     spec = params.spec
     g, m, p = spec.g, spec.m, spec.p
     history = np.asarray(history, dtype=float)
-    if history.shape != (p, m):
-        raise DimensionError(f"history must have shape ({p},{m}), got {history.shape}")
-    if not np.all(np.isfinite(history)):
-        raise ValueError("history has non-finite entries")
+    _require_shape(history, (p, m), "history")
+    _require_finite(history, "history")
     if horizon < 1 or n_paths < 1:
         raise ValueError("horizon and n_paths must be >= 1")
     eps = np.empty((n_paths, m))   # one buffer: the kernel copies each step's draw into x

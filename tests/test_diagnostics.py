@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvarkit import SeriesMatrix, acf_ccf
+from mvarkit import CorrelationTable, SeriesMatrix, acf_ccf
 
 
 def test_white_noise_has_no_lagged_correlation():
@@ -52,3 +52,12 @@ def test_max_lag_bounds_checked():
         acf_ccf(series, max_lag=10)
     with pytest.raises(ValueError):
         acf_ccf(series, max_lag=-1)
+
+
+def test_table_holds_read_only_copies():
+    values = np.zeros((2, 1, 1))
+    table = CorrelationTable(lags=[0, 1], values=values, band=0.1)
+    values[1, 0, 0] = 0.5           # the caller's array stays the caller's
+    assert table.values[1, 0, 0] == 0.0
+    for a in (table.lags, table.values):
+        assert isinstance(a, np.ndarray) and not a.flags.writeable

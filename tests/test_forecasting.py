@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvarkit import (
+    DimensionError,
     ForecastOrigin,
     MixtureNormalMV,
     ModelSpec,
@@ -328,15 +329,57 @@ class TestMixtureValidation:
             MixtureNormalMV(weights=[0.5, 0.5], means=np.zeros((2, 2)), covs=covs,
                             horizon=1, origin_time=0)
 
+    @pytest.mark.parametrize("shapes", [
+        ((2,), (2, 2), (2, 3, 3)),     # covariances wider than the means
+        ((2,), (2,), (2, 1, 1)),       # one-dimensional means
+        ((2, 1), (2, 2), (2, 2, 2)),   # two-dimensional weights
+        ((2,), (2, 2), (2, 2, 3)),     # non-square covariances
+    ])
+    def test_shapes_must_agree(self, shapes):
+        w, mu, cov = shapes
+        with pytest.raises(DimensionError):
+            MixtureNormalMV(weights=np.full(w, 0.5), means=np.zeros(mu),
+                            covs=np.broadcast_to(np.eye(*cov[1:]), cov),
+                            horizon=1, origin_time=0)
+
+    def test_moment_pair_shapes_must_agree(self):
+        with pytest.raises(DimensionError):
+            MomentPair(mean=np.zeros(3), cov=np.eye(2))
+        with pytest.raises(DimensionError):
+            MomentPair(mean=np.zeros(2), cov=np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            MomentPair(mean=np.zeros((2, 1)), cov=np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_moment_mean_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="mean has non-finite"):
+            MomentPair(mean=[0.0, bad], cov=np.eye(2))
+
+    def test_gross_asymmetry_rejected_at_small_scale(self):
+        # the lower triangle is positive definite; the upper one is far off
+        cov = np.array([[4e-12, 1.1e-11], [1e-12, 4e-12]])
+        with pytest.raises(NotPositiveDefiniteError, match="component 1 covariance is not symmetric"):
+            MixtureNormalMV(weights=[0.5, 0.5], means=np.zeros((2, 2)),
+                            covs=[4e-12 * np.eye(2), cov], horizon=1, origin_time=0)
+        with pytest.raises(NotPositiveDefiniteError, match="not symmetric"):
+            MomentPair(mean=np.zeros(2), cov=cov)
+
+    def test_zero_moment_pair_accepted(self, ref_params, origin):
+        MomentPair(mean=np.zeros(2), cov=np.zeros((2, 2)))
+        _, mom = predictive_h_step_mc(ref_params, origin, 2, n_paths=1, seed=3)
+        assert np.array_equal(mom.cov, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("scale", [1e6, 1e-6], ids=["1e6", "1e-6"])
     @pytest.mark.parametrize("horizon", [2, 3])
-    def test_kernel_output_accepted_at_large_scale(self, horizon):
+    def test_kernel_output_accepted_at_scale(self, horizon, scale):
         # at data scale 1e6 the kernel's A S A' covariances differ from their
-        # transposes by ~1e-3 in absolute terms, ~1e-16 relative to their size
+        # transposes by ~1e-3 in absolute terms, ~1e-16 relative to their size;
+        # at 1e-6 the same relative rounding must pass without an absolute floor
         rng = np.random.default_rng(7)
         params = random_stable_params(rng, g=3, m=4, p=2)
-        scale = 1e6
         scaled = MvarParameters(spec=params.spec, pi=params.pi, theta0=params.theta0 * scale,
                                 theta=params.theta, omega=params.omega * scale ** 2)
         origin = ForecastOrigin(history=rng.normal(size=(2, 4)) * scale, t=1)
         mix = predictive_mixture(scaled, origin, horizon)
         assert mix.n_components == 3 ** horizon
+        assert (mix.covs != mix.covs.transpose(0, 2, 1)).any()   # rounding asymmetry is there

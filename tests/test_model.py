@@ -82,6 +82,26 @@ class TestValidation:
         with pytest.raises(NotPositiveDefiniteError, match=r"omega\[1\] is not symmetric"):
             MvarParameters(**fields, omega=omega)
 
+    def test_omega_symmetry_is_relative_below_scale_one(self):
+        # off-diagonals 1.1e-11 and 1e-12 on a 4e-12 diagonal: the lower triangle
+        # is positive definite, the asymmetry is ~0.9 of the matrix's size
+        spec = ModelSpec(1, 2, (0,))
+        fields = dict(spec=spec, pi=[1.0], theta0=np.zeros((1, 2)), theta=np.zeros((1, 0, 2, 2)))
+        with pytest.raises(NotPositiveDefiniteError, match=r"omega\[0\] is not symmetric"):
+            MvarParameters(**fields, omega=[[[4e-12, 1.1e-11], [1e-12, 4e-12]]])
+        params = MvarParameters(**fields, omega=[[[4e-12, 1e-12 * (1 + 1e-15)], [1e-12, 4e-12]]])
+        assert params.omega[0, 0, 1] != params.omega[0, 1, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_omega_is_a_value_error(self, bad):
+        spec = ModelSpec(2, 1, (0, 0))
+        omega = np.ones((2, 1, 1))
+        omega[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="omega has non-finite") as info:
+            MvarParameters(spec=spec, pi=[0.5, 0.5], theta0=np.zeros((2, 1)),
+                           theta=np.zeros((2, 0, 1, 1)), omega=omega)
+        assert info.type is ValueError
+
     def test_padding_beyond_component_order_must_be_zero(self):
         spec = ModelSpec(2, 1, (1, 0))       # component 2 has order 0, p = 1
         theta = np.zeros((2, 1, 1, 1))

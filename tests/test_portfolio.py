@@ -9,6 +9,7 @@ from mvarkit import (
     ForecastOrigin,
     MixtureNormal1D,
     NotPositiveDefiniteError,
+    PortfolioSolution,
     efficient_weights,
     horizon_portfolio,
     markowitz_coefficients,
@@ -20,7 +21,6 @@ from mvarkit import (
     project,
     scalar_mixture_moments,
     simulate_forward,
-    two_step_portfolio,
 )
 from mvarkit.forecasting import MAX_COMPONENTS
 from conftest import (
@@ -200,6 +200,22 @@ class TestFrontierErrors:
         with pytest.raises(DimensionError):
             call(self.MEAN, np.eye(*shape))
 
+    def test_mean_not_a_vector(self, call):
+        with pytest.raises(DimensionError):
+            call(np.zeros((2, 1)), np.eye(2))
+
+
+class TestPortfolioSolution:
+    FIELDS = dict(expected_return=0.0, sd=1.0, kind="mvp", horizon=1)
+
+    def test_weights_must_be_a_finite_vector(self):
+        # NaN fails no comparison, so the budget test alone lets it through
+        with pytest.raises(ValueError, match="weights has non-finite"):
+            PortfolioSolution(weights=[np.nan, 1.0], **self.FIELDS)
+        with pytest.raises(DimensionError):
+            PortfolioSolution(weights=[[0.5], [0.5]], **self.FIELDS)
+        assert not PortfolioSolution(weights=[0.25, 0.75], **self.FIELDS).weights.flags.writeable
+
 
 class TestMvp:
     def test_isotropic_equal_weights(self):
@@ -311,7 +327,7 @@ class TestTwoStepPortfolio:
         rng = np.random.default_rng(29)
         params = random_stable_params(rng, g=1, m=3, p=1)
         o = ForecastOrigin(history=rng.normal(size=(1, 3)), t=0)
-        sol, rmix = two_step_portfolio(params, o, target=0.1)
+        sol, rmix = horizon_portfolio(params, o, 2, target=0.1)
         mom = mixture_moments(predictive_two_step(params, o))
         direct = efficient_weights(mom.mean, mom.cov, 0.1, horizon=2)
         assert np.allclose(sol.weights, direct.weights, atol=1e-12)
@@ -337,7 +353,7 @@ class TestTwoStepPortfolio:
         assert sol.sd == pytest.approx(want.sd, rel=1e-12)
 
     def test_mvp_flag_default(self, ref_params, origin):
-        sol, rmix = two_step_portfolio(ref_params, origin)
+        sol, rmix = horizon_portfolio(ref_params, origin, 2)
         assert sol.kind == "mvp"
         assert rmix.n_components == 4
         mean, var = scalar_mixture_moments(rmix)
@@ -345,7 +361,7 @@ class TestTwoStepPortfolio:
         assert sol.expected_return == pytest.approx(mean, abs=1e-10)
 
     def test_projected_mixture_matches_simulated_two_step_returns(self, ref_params, origin):
-        sol, rmix = two_step_portfolio(ref_params, origin)
+        sol, rmix = horizon_portfolio(ref_params, origin, 2)
         rng = np.random.default_rng(31)
         paths = simulate_forward(ref_params, origin.history, 2, 1_000_000, rng)
         returns = paths[:, -1, :] @ sol.weights
@@ -362,6 +378,6 @@ class TestTwoStepPortfolio:
             o = stationary_origin(rng, params)
             mom1 = mixture_moments(predictive_one_step(params, o))
             sd1 = mvp_weights(mom1.mean, mom1.cov, horizon=1).sd
-            sd2 = two_step_portfolio(params, o)[0].sd
+            sd2 = horizon_portfolio(params, o, 2)[0].sd
             grew += sd2 > sd1
         assert grew >= 95

@@ -24,7 +24,7 @@ EXPORTS = [
     "predictive_h_step_mc", "predictive_mixture", "predictive_one_step", "predictive_two_step",
     "project", "regressor_matrix", "returns_from_prices", "risk", "rolling_origin_crps",
     "save_model", "scalar_mixture_moments", "select_order", "simulate", "simulate_forward",
-    "simulation", "two_step_portfolio", "var_es",
+    "simulation", "var_es",
 ]
 
 REQUIRED = "<required>"

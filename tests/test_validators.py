@@ -33,7 +33,7 @@ def asymmetric(cov) -> bool:
     m = len(cov)
     gap = max((abs(cov[i][j] - cov[j][i]) for i in range(m) for j in range(m)), default=0.0)
     size = max((abs(cov[i][j]) for i in range(m) for j in range(m)), default=0.0)
-    return gap > SYMMETRY_TOL * max(1.0, size)
+    return gap > SYMMETRY_TOL * size
 
 
 def lower_eigenvalues(cov) -> np.ndarray:
@@ -52,8 +52,8 @@ def expected_mv(weights, means, covs):
     return None
 
 
-def expected_moment_pair(cov):
-    if not all_finite(cov):
+def expected_moment_pair(mean, cov):
+    if not (all_finite(mean) and all_finite(cov)):
         return ValueError
     size = max(1.0, float(np.abs(cov).max()))
     if asymmetric(cov) or lower_eigenvalues(cov)[0] < -PSD_TOL * size:
@@ -132,19 +132,20 @@ def test_mixture_normal_mv(seed, c, m, log_scale, fault, field):
           lambda: MixtureNormalMV(**fields, horizon=1, origin_time=0))
 
 
-@given(**common, fault=st.sampled_from([None, "non_finite"] + COV_FAULTS))
+@given(**common, fault=st.sampled_from([None, "non_finite"] + COV_FAULTS),
+       field=st.sampled_from(["mean", "cov"]))
 @settings(deadline=None, derandomize=True, max_examples=300)
-def test_moment_pair(seed, c, m, log_scale, fault):
+def test_moment_pair(seed, c, m, log_scale, fault, field):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
     if fault == "asymmetric":
         m = max(m, 2)
-    cov = clean_covs(rng, 1, m, scale)[0]
+    fields = {"mean": rng.normal(0.0, scale ** 0.5, m), "cov": clean_covs(rng, 1, m, scale)[0]}
     if fault == "non_finite":
-        cov.flat[int(rng.integers(cov.size))] = rng.choice(NON_FINITE)
+        fields[field].flat[int(rng.integers(fields[field].size))] = rng.choice(NON_FINITE)
     elif fault in COV_FAULTS:
-        inject_cov(rng, cov, fault, scale)
-    check(expected_moment_pair(cov), lambda: MomentPair(mean=rng.normal(size=m), cov=cov))
+        inject_cov(rng, fields["cov"], fault, scale)
+    check(expected_moment_pair(**fields), lambda: MomentPair(**fields))
 
 
 @given(**common, fault=st.sampled_from([None, "non_finite", "nonpositive_sd"] + WEIGHT_FAULTS),

@@ -84,6 +84,8 @@ def evaluate_holdout(
     values of the two held-out observations. Per-model failures are annotated
     and the run continues.
     """
+    if not specs:
+        raise ValueError("specs must be nonempty")
     if model_ids is None:
         model_ids = [str(s) for s in specs]
     if len(model_ids) != len(specs):

@@ -17,7 +17,8 @@ start axis and a component axis, and the work is done by stacked ``matmul``
 and ``np.linalg`` calls (the normal equations of components of one AR order
 are solved together). ``em_fit`` advances all of its starts through one loop
 in lockstep; the public ``e_step`` and ``m_step`` are the one-start case of
-the same kernels.
+the same kernels. The design (``_Design``) and the E-kernel (``_e_kernel``)
+live in :mod:`mvarkit.model`, where ``log_likelihood`` runs them too.
 
 Failures are classified only when a start fails. An M-step in which every
 start passes costs the arithmetic plus one stacked ``eigvalsh``, one stacked
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +39,6 @@ from scipy.special import logsumexp  # noqa: F401  unused, kept bound: bench/tra
 
 from .exceptions import (
     ComponentCollapseError,
-    DensityUnderflowError,
-    DimensionError,
     MvarError,
     NotPositiveDefiniteError,
     SingularComponentError,
@@ -49,14 +47,14 @@ from .model import (
     ModelSpec,
     MvarParameters,
     SeriesMatrix,
+    _Design,
+    _e_kernel,
     _frozen,
+    _posterior,
     _require_finite,
     _require_shape,
     _stacked,
     gaussian_log_densities,
-    log_normalise,
-    regressor_matrix,
-    stacked_coefficients,
     stacked_residuals,
 )
 
@@ -79,40 +77,6 @@ class Responsibilities:
         if np.max(np.abs(tau.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
             raise ValueError(f"responsibility rows must sum to 1 within {ROW_SUM_TOL}")
         object.__setattr__(self, "tau", tau)
-
-
-class _Design:
-    """The data side of a fit: scored observations and the maximal-order regressors.
-
-    Components carry stacked coefficients B_k (see ``stacked_coefficients``),
-    so a conditional mean is x_t' B_k. ``groups`` lists, per distinct order,
-    its components and the width 1 + m * order of the regressor block they use.
-    """
-
-    def __init__(self, series: SeriesMatrix, spec: ModelSpec):
-        if series.m != spec.m:
-            raise DimensionError(
-                f"series dimension {series.m} does not match spec dimension {spec.m}"
-            )
-        if series.n < spec.p + 1:
-            raise ValueError(f"need at least p+1={spec.p + 1} observations, got {series.n}")
-        self.spec = spec
-        self.y = series.values[spec.p:]                       # (N, m)
-        self.yt = np.ascontiguousarray(self.y.T)              # (m, N)
-        self.x = regressor_matrix(series, spec.p)             # (N, d)
-        self.xt = np.ascontiguousarray(self.x.T)              # (d, N)
-        orders = np.asarray(spec.orders)
-        self.groups = [(np.flatnonzero(orders == order), 1 + spec.m * order)
-                       for order in sorted(set(spec.orders))]
-
-    @cached_property
-    def moments(self) -> np.ndarray:
-        """Moment matrix of shape (N, d * (d + m)): row t is ``x_t (x) (x_t, y_t)``.
-
-        Built on first use, so only fits that run an M-step pay for it.
-        """
-        xy = np.concatenate([self.x, self.y], axis=1)
-        return (self.x[:, :, None] * xy[:, None, :]).reshape(self.x.shape[0], -1)
 
 
 class _Update(NamedTuple):
@@ -208,25 +172,6 @@ def _classify_failures(coef: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray,
     return chol, errors
 
 
-def _e_kernel(log_pi: np.ndarray, resid: np.ndarray, chol: np.ndarray, p: int):
-    """Responsibilities (S, g, N), log-likelihoods (S,) and per-start errors of S starts.
-
-    A start whose component densities all underflow at some observation fails
-    with :class:`DensityUnderflowError` naming the first such time index; the
-    rows are searched only when some start's log-likelihood is non-finite.
-    """
-    log_joint = gaussian_log_densities(resid, chol)
-    log_joint += log_pi[..., None]
-    row_loglik, tau = log_normalise(log_joint, axis=1)
-    loglik = row_loglik.sum(axis=-1)
-    errors = [None] * len(log_pi)
-    if not np.isfinite(loglik).all():
-        bad = ~np.isfinite(row_loglik)
-        for s in np.flatnonzero(bad.any(axis=1)):
-            errors[s] = DensityUnderflowError(int(np.argmax(bad[s])) + p)
-    return loglik, tau, errors
-
-
 def _freeze(spec: ModelSpec, pi, coef, omega) -> MvarParameters:
     """Validated parameters of one start from its raw M-step arrays."""
     g, m, p = spec.g, spec.m, spec.p
@@ -236,13 +181,7 @@ def _freeze(spec: ModelSpec, pi, coef, omega) -> MvarParameters:
 
 def e_step(params: MvarParameters, series: SeriesMatrix) -> Responsibilities:
     """Posterior component probabilities, computed with log-sum-exp for underflow safety."""
-    design = _Design(series, params.spec)
-    resid = stacked_residuals(stacked_coefficients(params)[None], design.xt, design.yt)
-    _, tau, errors = _e_kernel(np.log(params.pi)[None], resid, params.cholesky_factors()[None],
-                               params.spec.p)
-    if errors[0] is not None:
-        raise errors[0]
-    return Responsibilities(tau=tau[0].T)
+    return Responsibilities(tau=_posterior(params, series)[1].T)
 
 
 def m_step(series: SeriesMatrix, tau: Responsibilities, spec: ModelSpec) -> MvarParameters:
@@ -255,12 +194,8 @@ def m_step(series: SeriesMatrix, tau: Responsibilities, spec: ModelSpec) -> Mvar
     has no Cholesky factor.
     """
     design = _Design(series, spec)
-    t_mat = tau.tau
-    if t_mat.shape != (series.n - spec.p, spec.g):
-        raise DimensionError(
-            f"tau has shape {t_mat.shape}, expected ({series.n - spec.p},{spec.g})"
-        )
-    update = _m_kernel(design, np.ascontiguousarray(t_mat.T)[None])
+    _require_shape(tau.tau, (design.yt.shape[1], spec.g), "tau")
+    update = _m_kernel(design, np.ascontiguousarray(tau.tau.T)[None])
     if update.errors[0] is not None:
         raise update.errors[0]
     return _freeze(spec, update.pi[0], update.coef[0], update.omega[0])
@@ -352,7 +287,8 @@ def _lockstep_em(design: _Design, tau0: np.ndarray, max_iter: int, tol: float) -
             update, rows = update.select(ok), rows[ok]
             if rows.size == 0:
                 break
-        loglik, tau, errors = _e_kernel(np.log(update.pi), update.resid, update.chol, p)
+        loglik, tau, errors = _e_kernel(gaussian_log_densities(update.resid, update.chol),
+                                        np.log(update.pi), p)
         ok = drop_failed(errors)
         keep = []
         for row in (range(rows.size) if ok is None else ok):
@@ -400,6 +336,8 @@ def em_fit(
     the returned fit are ordered by descending mixing weight (ties broken
     lexicographically on the intercepts) to fix label switching.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     if init is None:
         init = InitStrategy()
     design = _Design(series, spec)

@@ -11,7 +11,7 @@ class MvarError(Exception):
 
 
 class DimensionError(MvarError, ValueError):
-    """Shapes of inputs do not agree (series dimension vs model, weight length, ...)."""
+    """Shapes of inputs do not agree (a series' width vs the model, weight length, ...)."""
 
 
 class TimeIndexError(MvarError, IndexError):

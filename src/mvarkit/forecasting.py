@@ -72,7 +72,12 @@ class MixtureNormalMV:
 
 @dataclass(frozen=True)
 class MomentPair:
-    """Mean vector and covariance matrix of a predictive distribution."""
+    """Mean vector and covariance matrix of a predictive distribution.
+
+    The covariance must be symmetric and positive semidefinite, both relative
+    to its largest entry: an eigenvalue below ``-MOMENT_PSD_TOL * max|C|``
+    fails at every scale, and the all-zero matrix passes.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -88,7 +93,7 @@ class MomentPair:
         _require_symmetric(cov, "moment covariance")
         low = np.linalg.eigvalsh(cov).min()
         # the tolerance scale is needed only for a negative eigenvalue
-        if low < 0.0 and low < -MOMENT_PSD_TOL * np.abs(cov).max(initial=1.0):
+        if low < 0.0 and low < -MOMENT_PSD_TOL * np.abs(cov).max(initial=0.0):
             raise NotPositiveDefiniteError("moment covariance is not positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

@@ -13,6 +13,12 @@ layout lives in two builders: :func:`regressor_matrix` (and the row helper
 :func:`companion_matrices` for the companion form that :func:`is_stable` and
 the exact predictive mixtures share.
 
+A model meets a series in one place for :func:`log_likelihood`,
+``estimation.e_step`` and EM: ``_require_series`` checks it, ``_Design``
+builds its scored observations and regressors, and the E-kernel
+``_e_kernel`` turns a batch of starts' component log densities into
+log-likelihoods, responsibilities and :class:`DensityUnderflowError` failures.
+
 All objects are immutable after construction (arrays are marked read-only)
 and safe to share across threads.
 
@@ -29,11 +35,13 @@ that every value type stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .exceptions import (
+    DensityUnderflowError,
     DimensionError,
     EigenSolverError,
     NotPositiveDefiniteError,
@@ -125,6 +133,15 @@ def _require_symmetric(covs: np.ndarray, label: str) -> None:
         )
 
 
+def _require_series(series: SeriesMatrix, spec: ModelSpec) -> None:
+    """Raise :class:`DimensionError` unless ``series`` has ``spec.m`` columns, and
+    ``ValueError`` unless it has the ``p+1`` rows needed to score one observation."""
+    if series.m != spec.m:
+        raise DimensionError(f"series dimension {series.m} does not match model dimension {spec.m}")
+    if series.n < spec.p + 1:
+        raise ValueError(f"need at least p+1={spec.p + 1} observations, got {series.n}")
+
+
 def _stacked(fn, out_shape, *arrays) -> np.ndarray:
     """Apply an ``np.linalg`` function over stacked matrices; failing slices come back NaN.
 
@@ -145,7 +162,7 @@ def _stacked(fn, out_shape, *arrays) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Structural description: component count, series dimension, AR orders."""
+    """Structural description: component count ``g``, dimension ``m``, AR orders."""
 
     g: int
     m: int
@@ -319,17 +336,6 @@ class ForecastOrigin:
         _require_shape(self.history, (spec.p, spec.m), "origin history")
 
 
-def _check_series(params: MvarParameters, series: SeriesMatrix) -> None:
-    if series.m != params.spec.m:
-        raise DimensionError(
-            f"series dimension {series.m} does not match model dimension {params.spec.m}"
-        )
-    if series.n < params.spec.p + 1:
-        raise ValueError(
-            f"need at least p+1={params.spec.p + 1} observations, got {series.n}"
-        )
-
-
 def regressor_matrix(series: SeriesMatrix, p: int) -> np.ndarray:
     """Stacked regressors (1, Y_{t-1}', ..., Y_{t-p}') for t = p..n-1, shape (n-p, 1 + m*p)."""
     y = series.values
@@ -365,6 +371,35 @@ def stacked_residuals(coef: np.ndarray, xt: np.ndarray, yt: np.ndarray) -> np.nd
     return np.subtract(yt, fitted, out=fitted)
 
 
+class _Design:
+    """A checked series as a model of ``spec`` sees it: scored observations and regressors.
+
+    A conditional mean is x_t' B_k (see :func:`stacked_coefficients`).
+    ``groups`` lists, per distinct order, its components and the width
+    1 + m * order of the regressor block they use.
+    """
+
+    def __init__(self, series: SeriesMatrix, spec: ModelSpec):
+        _require_series(series, spec)
+        self.spec = spec
+        self.y = series.values[spec.p:]                       # (N, m)
+        self.yt = np.ascontiguousarray(self.y.T)              # (m, N)
+        self.x = regressor_matrix(series, spec.p)             # (N, d)
+        self.xt = np.ascontiguousarray(self.x.T)              # (d, N)
+        orders = np.asarray(spec.orders)
+        self.groups = [(np.flatnonzero(orders == order), 1 + spec.m * order)
+                       for order in sorted(set(spec.orders))]
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """Moment matrix of shape (N, d * (d + m)): row t is ``x_t (x) (x_t, y_t)``.
+
+        Built on first use, so only fits that run an M-step pay for it.
+        """
+        xy = np.concatenate([self.x, self.y], axis=1)
+        return (self.x[:, :, None] * xy[:, None, :]).reshape(self.x.shape[0], -1)
+
+
 def _regressor_row(history: np.ndarray) -> np.ndarray:
     """Row ``x = (1, Y_t', ..., Y_{t-p+1}')`` of a (p, m) history, oldest first: ``x' B_k`` is
     component ``k``'s conditional mean of the next observation (:func:`stacked_coefficients`)."""
@@ -378,12 +413,9 @@ def component_residual(params: MvarParameters, series: SeriesMatrix, t: int, k: 
     (``p <= t < n``); ``k`` is a 0-based component index.
     """
     spec = params.spec
-    if series.m != spec.m:
-        raise DimensionError(
-            f"series dimension {series.m} does not match model dimension {spec.m}"
-        )
     if t < spec.p or t >= series.n:
         raise TimeIndexError(f"t={t} outside scored range [{spec.p}, {series.n - 1}]")
+    _require_series(series, spec)   # only the width can fail: p <= t < n leaves p+1 rows
     if not 0 <= k < spec.g:
         raise TimeIndexError(f"component k={k} outside range [0, {spec.g - 1}]")
     y = series.values
@@ -411,41 +443,53 @@ def gaussian_log_densities(resid: np.ndarray, chol: np.ndarray) -> np.ndarray:
 
 def component_log_densities(params: MvarParameters, series: SeriesMatrix) -> np.ndarray:
     """Per-component Gaussian log densities at every scored time, shape (n-p, g)."""
-    _check_series(params, series)
-    p = params.spec.p
-    xt = np.ascontiguousarray(regressor_matrix(series, p).T)
-    yt = np.ascontiguousarray(series.values[p:].T)
-    resid = stacked_residuals(stacked_coefficients(params), xt, yt)
+    design = _Design(series, params.spec)
+    resid = stacked_residuals(stacked_coefficients(params), design.xt, design.yt)
     return gaussian_log_densities(resid, params.cholesky_factors()).T
 
 
-def log_normalise(log_joint: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Log-sum-exp and normalised probabilities along ``axis`` in one max/exp/sum pass.
+def _e_kernel(log_dens: np.ndarray, log_pi: np.ndarray, p: int):
+    """Log-likelihoods (S,), responsibilities (S, g, N) and per-start errors of S starts.
 
-    ``log_joint`` is normalised in place. Returns ``(log_norm, probs)``:
-    ``log_norm`` drops ``axis``; ``probs`` is ``log_joint`` itself, now summing
-    to 1 along ``axis``. Where every entry along ``axis`` is ``-inf`` (all
-    components underflowed), ``log_norm`` is non-finite and ``probs`` is NaN.
+    ``log_dens`` holds the component log densities (S, g, N) and becomes the
+    responsibilities, in one max/exp/sum pass. A start whose component
+    densities all underflow at some observation (a NaN responsibility row)
+    fails with :class:`DensityUnderflowError` naming the first such time
+    index; the rows are searched only when some log-likelihood is non-finite.
     """
-    row_max = np.max(log_joint, axis=axis, keepdims=True)
+    log_dens += log_pi[..., None]
+    row_max = np.max(log_dens, axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
-        log_joint -= row_max
-    np.exp(log_joint, out=log_joint)
-    total = np.sum(log_joint, axis=axis, keepdims=True)
-    log_joint /= total
-    return np.squeeze(row_max + np.log(total), axis=axis), log_joint
+        log_dens -= row_max
+    np.exp(log_dens, out=log_dens)
+    total = np.sum(log_dens, axis=1, keepdims=True)
+    log_dens /= total
+    row_loglik = (row_max + np.log(total))[:, 0]
+    loglik = row_loglik.sum(axis=-1)
+    errors = [None] * len(log_pi)
+    if not np.isfinite(loglik).all():
+        bad = ~np.isfinite(row_loglik)
+        for s in np.flatnonzero(bad.any(axis=1)):
+            errors[s] = DensityUnderflowError(int(np.argmax(bad[s])) + p)
+    return loglik, log_dens, errors
+
+
+def _posterior(params: MvarParameters, series: SeriesMatrix) -> tuple[float, np.ndarray]:
+    """Log-likelihood and (g, n-p) responsibilities: the one-start case of ``_e_kernel``."""
+    log_dens = component_log_densities(params, series).T[None]
+    loglik, tau, errors = _e_kernel(log_dens, np.log(params.pi)[None], params.spec.p)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(loglik[0]), tau[0]
 
 
 def log_likelihood(params: MvarParameters, series: SeriesMatrix) -> float:
-    """Conditional log-likelihood; the first ``p`` observations are conditioned on, never scored."""
-    joint = component_log_densities(params, series) + np.log(params.pi)[None, :]
-    row, _ = log_normalise(joint, axis=1)
-    total = float(np.sum(row))
-    if not np.isfinite(total):
-        bad = int(np.flatnonzero(~np.isfinite(row))[0]) + params.spec.p
-        raise ValueError(f"log-likelihood is non-finite (first bad time index t={bad}); "
-                         "parameters are degenerate for this data")
-    return total
+    """Conditional log-likelihood; the first ``p`` observations are conditioned on, never scored.
+
+    Raises :class:`DensityUnderflowError` naming the first time index at which
+    every component density underflows.
+    """
+    return _posterior(params, series)[0]
 
 
 def companion_matrices(params: MvarParameters) -> np.ndarray:

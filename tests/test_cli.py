@@ -94,6 +94,14 @@ class TestFit:
         assert rc == 1
 
 
+    def test_negative_max_iter_is_an_error(self, tmp_path, sim_csv, capsys):
+        rc = cli.main(["fit", "--data", str(sim_csv), "--components", "2", "--orders", "1,1",
+                       "--max-iter", "-1", "--out", str(tmp_path / "x.json"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: max_iter must be >= 0"]
+        assert not (tmp_path / "x.json").exists()
+
+
 class TestForecast:
     def test_analytic_two_step(self, tmp_path, model_path, sim_csv):
         out = tmp_path / "mix.json"

@@ -87,6 +87,11 @@ def test_rolling_origin_crps_shape_and_determinism(series):
     assert np.all(a >= 0.0)
 
 
+def test_holdout_needs_a_spec(series):
+    with pytest.raises(ValueError, match="specs must be nonempty"):
+        evaluate_holdout(series, [])
+
+
 def test_rolling_origin_needs_enough_data(series):
     with pytest.raises(ValueError, match="too short"):
         rolling_origin_crps(series, [ModelSpec(1, 3, (1,))], n_origins=200,

@@ -4,6 +4,7 @@ import pytest
 from mvarkit import (
     ComponentCollapseError,
     DensityUnderflowError,
+    DimensionError,
     InitStrategy,
     ModelSpec,
     MvarError,
@@ -12,6 +13,8 @@ from mvarkit import (
     SeriesMatrix,
     SimulationConfig,
     SingularComponentError,
+    component_log_densities,
+    component_residual,
     e_step,
     em_fit,
     log_likelihood,
@@ -21,8 +24,8 @@ from mvarkit import (
     simulate,
 )
 from mvarkit import estimation
-from mvarkit.estimation import _canonicalize, _Design, _lockstep_em, _m_kernel
-from mvarkit.model import stacked_coefficients
+from mvarkit.estimation import _canonicalize, _lockstep_em, _m_kernel
+from mvarkit.model import _Design, stacked_coefficients
 from conftest import make_ref_params, permuted, random_stable_params
 from oracles import naive_responsibilities, wls_explicit
 
@@ -35,6 +38,15 @@ def ref_params():
 @pytest.fixture(scope="module")
 def ref_data(ref_params):
     return simulate(SimulationConfig(params=ref_params, n=500, seed=77)).series
+
+
+def underflow_case():
+    """Two p=0 components whose densities both underflow at the row t=1."""
+    params = MvarParameters.from_component_lists(
+        ModelSpec(2, 1, (0, 0)), [0.5, 0.5], [[0.0], [0.0]],
+        [[], []], [[[1e-4]], [[1e-4]]]
+    )
+    return params, SeriesMatrix([[0.0], [1e200], [0.0]])
 
 
 class TestEStep:
@@ -67,14 +79,19 @@ class TestEStep:
         assert np.allclose(tau[usable], direct[usable], atol=1e-10)
 
     def test_underflow_names_time_index(self):
-        params = MvarParameters.from_component_lists(
-            ModelSpec(2, 1, (0, 0)), [0.5, 0.5], [[0.0], [0.0]],
-            [[], []], [[[1e-4]], [[1e-4]]]
-        )
-        series = SeriesMatrix([[0.0], [1e200], [0.0]])
+        params, series = underflow_case()
         with pytest.raises(DensityUnderflowError) as err:
             e_step(params, series)
         assert err.value.t == 1
+
+    def test_log_likelihood_reports_the_same_underflow(self):
+        params, series = underflow_case()
+        times = []
+        for entry in (e_step, log_likelihood):
+            with pytest.raises(DensityUnderflowError) as err:
+                entry(params, series)
+            times.append(err.value.t)
+        assert times == [1, 1]
 
     def test_rows_sum_to_one(self, ref_params, ref_data):
         tau = e_step(ref_params, ref_data).tau
@@ -193,6 +210,11 @@ class TestMStep:
         assert error.eigenvalue == np.linalg.eigvalsh(update.omega[0, 1])[0]
         assert update.errors[1] is None
 
+    def test_tau_must_cover_the_scored_rows(self, ref_params, ref_data):
+        tau = Responsibilities(np.full((ref_data.n, 2), 0.5))   # one row too many for p=1
+        with pytest.raises(DimensionError, match=r"tau must have shape \(499,2\), got \(500, 2\)"):
+            m_step(ref_data, tau, ref_params.spec)
+
     def test_non_finite_responsibilities_rejected(self):
         tau = np.column_stack([np.full(39, 0.5), np.full(39, 0.5)])
         tau[7] = np.nan
@@ -227,6 +249,12 @@ class TestEmFit:
         assert report.loglik == pytest.approx(
             log_likelihood(report.params, ref_data), abs=1e-6
         )
+
+    def test_negative_max_iter_rejected(self, ref_params, ref_data):
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            em_fit(ref_data, ref_params.spec, max_iter=-1)
+        report = em_fit(ref_data, ref_params.spec, init=InitStrategy(n_starts=1), max_iter=0)
+        assert report.iterations == 0 and len(report.loglik_trace) == 1
 
     def test_nonconvergence_reported_not_raised(self, ref_params, ref_data):
         report = em_fit(ref_data, ref_params.spec, InitStrategy(n_starts=1, seed=1),
@@ -420,6 +448,36 @@ class TestLockstep:
                                 dirichlet_starts(spec, series.n - spec.p, 0, 3), 500, 1e-8)
         assert all(isinstance(o.error, error) for o in outcomes)
         assert str(raised.value) == str(outcomes[-1].error)
+
+
+def _one_row_tau(params):
+    return Responsibilities(np.full((1, params.spec.g), 1.0 / params.spec.g))
+
+
+# Every entry point that puts a model on a series, as (params, series) -> result.
+SERIES_ENTRY_POINTS = {
+    "log_likelihood": log_likelihood,
+    "component_log_densities": component_log_densities,
+    "e_step": e_step,
+    "m_step": lambda params, series: m_step(series, _one_row_tau(params), params.spec),
+    "em_fit": lambda params, series: em_fit(series, params.spec, InitStrategy(1, 0), max_iter=1),
+    "component_residual": lambda params, series: component_residual(params, series, series.n - 1, 0),
+}
+
+
+class TestSeriesCheck:
+    @pytest.mark.parametrize("entry", sorted(SERIES_ENTRY_POINTS))
+    def test_wrong_width_is_one_dimension_error(self, entry, ref_params, ref_data):
+        with pytest.raises(DimensionError) as err:
+            SERIES_ENTRY_POINTS[entry](ref_params, SeriesMatrix(ref_data.values[:, :2]))
+        assert str(err.value) == "series dimension 2 does not match model dimension 3"
+
+    # component_residual is left out: on a short series no t is in range, and
+    # its TimeIndexError comes first
+    @pytest.mark.parametrize("entry", sorted(set(SERIES_ENTRY_POINTS) - {"component_residual"}))
+    def test_short_series_needs_p_plus_one_rows(self, entry, ref_params):
+        with pytest.raises(ValueError, match=r"need at least p\+1=2 observations, got 1"):
+            SERIES_ENTRY_POINTS[entry](ref_params, SeriesMatrix(np.zeros((1, 3))))
 
 
 class TestSelectOrder:

@@ -370,6 +370,24 @@ class TestMixtureValidation:
         assert np.array_equal(mom.cov, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("scale", [1e6, 1e-6], ids=["1e6", "1e-6"])
+    def test_moment_psd_test_is_relative(self, scale):
+        # smallest eigenvalue -1e-11 against a largest entry of 1e-11: no floor lets it pass
+        with pytest.raises(NotPositiveDefiniteError, match="not positive semidefinite"):
+            MomentPair(mean=np.zeros(2), cov=[[1e-12, 0.0], [0.0, -1e-11]])
+        MomentPair(mean=np.zeros(2), cov=np.zeros((2, 2)))
+        rng = np.random.default_rng(11)
+        params = random_stable_params(rng, g=3, m=4, p=2)
+        scaled = MvarParameters(spec=params.spec, pi=params.pi, theta0=params.theta0 * scale,
+                                theta=params.theta, omega=params.omega * scale ** 2)
+        origin = ForecastOrigin(history=rng.normal(size=(2, 4)) * scale, t=1)
+        mom = mixture_moments(predictive_mixture(scaled, origin, 3))
+        assert np.abs(mom.cov).max() < 1e3 * scale ** 2
+        # two paths in four dimensions: a rank-one sample covariance, whose zero
+        # eigenvalues come out as rounding of either sign
+        _, mc = predictive_h_step_mc(scaled, origin, 2, n_paths=2, seed=5)
+        assert np.linalg.matrix_rank(mc.cov, tol=1e-8 * np.abs(mc.cov).max()) == 1
+
+    @pytest.mark.parametrize("scale", [1e6, 1e-6], ids=["1e6", "1e-6"])
     @pytest.mark.parametrize("horizon", [2, 3])
     def test_kernel_output_accepted_at_scale(self, horizon, scale):
         # at data scale 1e6 the kernel's A S A' covariances differ from their

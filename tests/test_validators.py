@@ -55,7 +55,7 @@ def expected_mv(weights, means, covs):
 def expected_moment_pair(mean, cov):
     if not (all_finite(mean) and all_finite(cov)):
         return ValueError
-    size = max(1.0, float(np.abs(cov).max()))
+    size = float(np.abs(cov).max())
     if asymmetric(cov) or lower_eigenvalues(cov)[0] < -PSD_TOL * size:
         return NotPositiveDefiniteError
     return None

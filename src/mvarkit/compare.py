@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import FitReport, InitStrategy, em_fit
+from .estimation import FitReport, InitStrategy, _check_em_limits, em_fit
 from .exceptions import MvarError
 from .model import ForecastOrigin, ModelSpec, SeriesMatrix
 from .portfolio import horizon_portfolio, scalar_mixture_moments
@@ -84,6 +84,7 @@ def evaluate_holdout(
     values of the two held-out observations. Per-model failures are annotated
     and the run continues.
     """
+    _check_em_limits(max_iter, tol)
     if not specs:
         raise ValueError("specs must be nonempty")
     if model_ids is None:
@@ -133,6 +134,7 @@ def rolling_origin_crps(
     to fit or forecast at an origin scores NaN there and is refit at the next
     origin; the sweep carries on.
     """
+    _check_em_limits(max_iter, tol)
     n = series.n
     first_origin = n - 2 - n_origins
     if first_origin - train_length + 1 < 0:

@@ -308,6 +308,14 @@ def _lockstep_em(design: _Design, tau0: np.ndarray, max_iter: int, tol: float) -
     return outcomes
 
 
+def _check_em_limits(max_iter: int, tol: float) -> None:
+    """Reject EM limits under which no start could run or be chosen."""
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and >= 0")
+
+
 def em_fit(
     series: SeriesMatrix,
     spec: ModelSpec,
@@ -336,8 +344,7 @@ def em_fit(
     the returned fit are ordered by descending mixing weight (ties broken
     lexicographically on the intercepts) to fix label switching.
     """
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+    _check_em_limits(max_iter, tol)
     if init is None:
         init = InitStrategy()
     design = _Design(series, spec)
@@ -392,6 +399,7 @@ def select_order(
     The per-candidate seed is derived from (seed, g, p), so listing the same
     candidate twice yields identical scores.
     """
+    _check_em_limits(max_iter, tol)
     if criterion not in ("aic", "bic"):
         raise ValueError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
     g_values = list(g_values)

@@ -101,6 +101,14 @@ class TestFit:
         assert capsys.readouterr().err.splitlines() == ["error: max_iter must be >= 0"]
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_is_an_error(self, tmp_path, sim_csv, capsys, tol):
+        rc = cli.main(["fit", "--data", str(sim_csv), "--components", "2", "--orders", "1,1",
+                       "--tol", tol, "--out", str(tmp_path / "x.json"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: tol must be finite and >= 0"]
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestForecast:
     def test_analytic_two_step(self, tmp_path, model_path, sim_csv):
@@ -217,6 +225,16 @@ class TestCompareAndAcf:
         payload = read_json(out)
         assert len(payload["rows"]) == 4
         assert {r["horizon"] for r in payload["rows"]} == {1, 2}
+
+    def test_compare_negative_max_iter_is_one_error(self, tmp_path, sim_csv, capsys):
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare", "--data", str(sim_csv), "--spec", "2:1,1", "--spec", "1:1",
+                       "--max-iter", "-1", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: max_iter must be >= 0"]
+        assert "failed" not in captured.out
+        assert not out.exists()
 
     def test_acf_row_count(self, tmp_path, sim_csv):
         out = tmp_path / "acf.csv"

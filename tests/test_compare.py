@@ -92,6 +92,26 @@ def test_holdout_needs_a_spec(series):
         evaluate_holdout(series, [])
 
 
+BAD_LIMITS = [({"max_iter": -1}, "max_iter must be >= 0"),
+              ({"tol": float("nan")}, "tol must be finite and >= 0"),
+              ({"tol": -1.0}, "tol must be finite and >= 0")]
+
+
+@pytest.mark.parametrize("limits, message", BAD_LIMITS)
+def test_holdout_rejects_bad_em_limits(series, limits, message):
+    # an argument error is the caller's, not a failed row per model
+    with pytest.raises(ValueError, match=message):
+        evaluate_holdout(series, [ModelSpec(1, 3, (1,)), ModelSpec(2, 3, (1, 1))], **limits)
+
+
+@pytest.mark.parametrize("limits, message", BAD_LIMITS)
+def test_rolling_origin_rejects_bad_em_limits(series, limits, message):
+    # not an all-NaN array with no message
+    with pytest.raises(ValueError, match=message):
+        rolling_origin_crps(series, [ModelSpec(1, 3, (1,))], n_origins=2, train_length=100,
+                            **limits)
+
+
 def test_rolling_origin_needs_enough_data(series):
     with pytest.raises(ValueError, match="too short"):
         rolling_origin_crps(series, [ModelSpec(1, 3, (1,))], n_origins=200,

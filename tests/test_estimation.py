@@ -256,6 +256,14 @@ class TestEmFit:
         report = em_fit(ref_data, ref_params.spec, init=InitStrategy(n_starts=1), max_iter=0)
         assert report.iterations == 0 and len(report.loglik_trace) == 1
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -float("inf")])
+    def test_tol_must_be_finite_and_nonnegative(self, ref_params, ref_data, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            em_fit(ref_data, ref_params.spec, max_iter=3, tol=tol)
+        report = em_fit(ref_data, ref_params.spec, init=InitStrategy(n_starts=2), max_iter=3,
+                        tol=0.0)
+        assert report.iterations == 3
+
     def test_nonconvergence_reported_not_raised(self, ref_params, ref_data):
         report = em_fit(ref_data, ref_params.spec, InitStrategy(n_starts=1, seed=1),
                         max_iter=2)
@@ -496,6 +504,15 @@ class TestSelectOrder:
     def test_duplicate_candidates_score_identically(self, ref_data):
         results = select_order(ref_data, [2, 2], [1], n_starts=3, seed=4)
         assert results[0].score == results[1].score
+
+    @pytest.mark.parametrize("limits, message", [
+        ({"max_iter": -1}, "max_iter must be >= 0"),
+        ({"tol": float("nan")}, "tol must be finite and >= 0"),
+    ])
+    def test_bad_em_limits_raise_once(self, ref_data, limits, message):
+        # an argument error is the caller's, not a failure of each candidate
+        with pytest.raises(ValueError, match=message):
+            select_order(ref_data, [1, 2], [1], n_starts=2, seed=0, **limits)
 
     def test_failures_annotated_not_raised(self, ref_data):
         # p too large for the data length: that candidate fails, sweep continues

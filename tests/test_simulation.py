@@ -1,5 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvarkit import (
     MixtureNormalMV,
@@ -10,6 +14,8 @@ from mvarkit import (
     simulate,
     simulate_forward,
 )
+from mvarkit import simulation
+from mvarkit.simulation import _draw_labels, _run_steps
 from conftest import make_ref_params, random_spd
 from oracles import simulate_forward_loop, simulate_loop
 
@@ -156,6 +162,96 @@ def test_forward_simulation_matches_per_path_loop(case):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
     again = simulate_forward(params, history, horizon, n_paths, np.random.default_rng(5))
     assert np.array_equal(got, again)
+
+
+def kernel_on_documented_draws(params, history, horizon, n_paths, rng):
+    """The step kernel fed ``simulate_forward``'s documented draws, made inline step by step."""
+    g, m = params.spec.g, params.spec.m
+    offsets = g * np.arange(n_paths)
+    draws = [(rng.choice(g, n_paths, p=params.pi) + offsets, rng.standard_normal((n_paths, m)))
+             for _ in range(horizon)]
+    out = np.empty((horizon, n_paths, m))
+    _run_steps(params, history, draws, out)
+    return out.transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD_CASES) + ["h10_1e5_paths"])
+def test_forward_simulation_is_the_kernel_on_documented_draws(case):
+    make, horizon, n_paths = FORWARD_CASES.get(case, (make_ref_params, 10, 100_000))
+    params = make()
+    history = np.random.default_rng(99).normal(size=(params.spec.p, params.spec.m))
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = simulate_forward(params, history, horizon, n_paths, rng)
+    want = kernel_on_documented_draws(params, history, horizon, n_paths, ref)
+    assert np.array_equal(got, want)
+    assert rng.random() == ref.random()   # exactly ``horizon`` steps drawn
+
+
+def test_forward_simulation_joins_its_helper_thread(ref_params):
+    before = threading.active_count()
+    simulate_forward(ref_params, np.zeros((1, 3)), 4, 1000, np.random.default_rng(0))
+    assert threading.active_count() == before
+
+
+class FailingNormals(np.random.Generator):
+    """PCG64 whose ``standard_normal`` raises on its ``fail_at``-th call."""
+
+    def __init__(self, fail_at):
+        super().__init__(np.random.PCG64(0))
+        self.calls, self.fail_at = 0, fail_at
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise FloatingPointError("draw failed")
+        return super().standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("fail_at", [1, 3])
+def test_forward_simulation_reraises_a_draw_error(ref_params, fail_at):
+    before = threading.active_count()
+    rng = FailingNormals(fail_at)
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        simulate_forward(ref_params, np.zeros((1, 3)), 5, 100, rng)
+    assert threading.active_count() == before
+    assert rng.calls == fail_at   # no step is drawn after the failed one
+
+
+def test_forward_simulation_joins_when_the_kernel_raises(ref_params, monkeypatch):
+    def kernel_fails_after_one_step(params, history, draws, out):
+        next(iter(draws))
+        raise FloatingPointError("kernel failed")
+
+    monkeypatch.setattr(simulation, "_run_steps", kernel_fails_after_one_step)
+    before = threading.active_count()
+    rng = FailingNormals(fail_at=0)
+    with pytest.raises(FloatingPointError, match="kernel failed"):
+        simulate_forward(ref_params, np.zeros((1, 3)), 5, 100, rng)
+    assert threading.active_count() == before
+    assert rng.calls == 2   # step 1 was already drawing, and finished before the return
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-12.0, 0.0), min_size=1, max_size=6),
+       st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_label_draw_is_choice(log10_weights, size, seed):
+    weights = 10.0 ** np.asarray(log10_weights)
+    pi = weights / weights.sum()
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    labels = np.zeros(size, dtype=np.intp)
+    _draw_labels(rng, pi, labels, np.empty(size))
+    assert np.array_equal(labels, ref.choice(len(pi), size, p=pi))
+    assert rng.random() == ref.random()
+
+
+def test_label_draw_breaks_a_tie_as_choice_does():
+    # a uniform equal to a cumulative weight takes the next label
+    seed = next(s for s in range(100) if np.random.default_rng(s).random() >= 0.5)
+    u = np.random.default_rng(seed).random()
+    pi = np.array([u, 1.0 - u])   # exact for u >= 0.5, and the cumsum ends at exactly 1
+    labels = np.zeros(1, dtype=np.intp)
+    _draw_labels(np.random.default_rng(seed), pi, labels, np.empty(1))
+    assert labels[0] == np.random.default_rng(seed).choice(2, 1, p=pi)[0] == 1
 
 
 SIMULATE_CASES = {

@@ -132,9 +132,14 @@ def rolling_origin_crps(
     horizons 1 and 2 against the returns their own portfolios realize.
     Returns an array of shape (n_origins, len(specs), 2). A model that fails
     to fit or forecast at an origin scores NaN there and is refit at the next
-    origin; the sweep carries on.
+    origin; the sweep carries on. Arguments that no origin could use raise one
+    ``ValueError`` before any fit.
     """
     _check_em_limits(max_iter, tol)
+    if n_origins < 1:
+        raise ValueError(f"n_origins must be >= 1, got {n_origins}")
+    if train_length < 1:
+        raise ValueError(f"train_length must be >= 1, got {train_length}")
     n = series.n
     first_origin = n - 2 - n_origins
     if first_origin - train_length + 1 < 0:

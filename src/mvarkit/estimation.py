@@ -14,24 +14,28 @@ come from the residuals under the updated coefficients.
 
 Both steps are written for a batch of starts: every array carries a leading
 start axis and a component axis, and the work is done by stacked ``matmul``
-and ``np.linalg`` calls (the normal equations of components of one AR order
-are solved together). ``em_fit`` advances all of its starts through one loop
+and LAPACK calls (the normal equations of components of one AR order are
+solved together). ``em_fit`` advances all of its starts through one loop
 in lockstep; the public ``e_step`` and ``m_step`` are the one-start case of
 the same kernels. The design (``_Design``) and the E-kernel (``_e_kernel``)
 live in :mod:`mvarkit.model`, where ``log_likelihood`` runs them too.
 
-Failures are classified only when a start fails. An M-step in which every
-start passes costs the arithmetic plus one stacked ``eigvalsh``, one stacked
-``cholesky`` and a scalar test of their results; an E-step costs a scalar test
-of the log-likelihoods. Only when a test fails (or a stacked call raises) are
-the starts classified one by one, with the same error classes, component
-indices and messages either way.
+Failures are read from values and classified only when a start fails. The
+stacked solve, eigenvalue, Cholesky and inverse calls go straight to numpy's
+LAPACK gufuncs (``model._lapack``), under one ``model._nan_errstate`` per
+lockstep run and one per call of the one-start entry points: a slice that
+fails comes back NaN without raising, and its batch mates are untouched. An
+M-step in which every start passes costs the arithmetic plus a scalar test
+each of the coefficients, the smallest eigenvalues and the Cholesky factors;
+an E-step costs a scalar test of the log-likelihoods. Only when a test fails
+are the starts classified one by one, from the same NaNs, with the same error
+classes, component indices and messages as a start run alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,10 +54,11 @@ from .model import (
     _Design,
     _e_kernel,
     _frozen,
+    _lapack,
+    _nan_errstate,
     _posterior,
     _require_finite,
     _require_shape,
-    _stacked,
     gaussian_log_densities,
     stacked_residuals,
 )
@@ -106,9 +111,15 @@ def _m_kernel(design: _Design, tau: np.ndarray, scratch: np.ndarray | None = Non
     (:class:`ComponentCollapseError`); non-finite coefficients count as
     singular, non-finite covariances as collapsed. A covariance that passes the
     eigenvalue test but has no Cholesky factor raises
-    :class:`NotPositiveDefiniteError`. When every start passes, the stacked
-    eigenvalue and Cholesky calls are the whole check; the per-start
-    classification runs only when some start fails.
+    :class:`NotPositiveDefiniteError`.
+
+    The solve, eigenvalue and Cholesky calls are numpy's stacked LAPACK
+    gufuncs (``model._lapack``), run under the caller's ``_nan_errstate``: a
+    failing slice comes back NaN and its batch mates are untouched. The normal
+    equations of each group of components of one order are solved together,
+    on views of the moment sums when the group is a slice. When every start
+    passes, one scalar test of the three results is the whole check; the
+    per-start classification runs only when some start fails.
     """
     n_starts, g, n_obs = tau.shape
     d, m = design.xt.shape[0], design.spec.m
@@ -120,45 +131,40 @@ def _m_kernel(design: _Design, tau: np.ndarray, scratch: np.ndarray | None = Non
     pi = weight / n_obs
     # Re-normalize against accumulated rounding so the invariant checks pass.
     pi /= pi.sum(axis=-1, keepdims=True)
-    coef = np.zeros(rhs.shape)
-    for components, width in design.groups:
-        block = rhs[:, components, :width]
-        coef[:, components, :width] = _stacked(np.linalg.solve, block.shape,
-                                               gram[:, components, :width, :width], block)
+    if len(design.groups) == 1:                   # one order: every component is full width
+        coef = _lapack.solve(gram, rhs)
+    else:
+        coef = np.zeros(rhs.shape)
+        for components, width in design.groups:
+            coef[:, components, :width] = _lapack.solve(gram[:, components, :width, :width],
+                                                        rhs[:, components, :width])
     resid = stacked_residuals(coef, design.xt, design.yt)
     omega = np.multiply(resid, tau[:, :, None, :], out=scratch) @ resid.swapaxes(-1, -2)
     omega /= weight[..., None, None]
     omega += omega.swapaxes(-1, -2)
     omega *= 0.5
-    try:
-        min_eig = np.linalg.eigvalsh(omega)[..., 0]
-        chol = np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        if np.isfinite(coef).all() and (min_eig >= COLLAPSE_EIGENVALUE).all():
-            return _Update(pi, coef, resid, omega, chol, [None] * n_starts)
-    return _Update(pi, coef, resid, omega, *_classify_failures(coef, omega))
+    min_eig = _lapack.eigvalsh_lo(omega)[..., 0]
+    chol = _lapack.cholesky_lo(omega)
+    # a NaN minimum fails the >= test; a failed factorisation is all NaN
+    if (np.isfinite(coef).all() and min_eig.min() >= COLLAPSE_EIGENVALUE
+            and not np.isnan(chol.min())):
+        return _Update(pi, coef, resid, omega, chol, [None] * n_starts)
+    return _Update(pi, coef, resid, omega, chol, _classify_failures(coef, omega, min_eig, chol))
 
 
-def _classify_failures(coef: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, list]:
-    """Cholesky factors and per-start errors of an M-step in which some start failed.
+def _classify_failures(coef: np.ndarray, omega: np.ndarray, min_eig: np.ndarray,
+                       chol: np.ndarray) -> list:
+    """Per-start errors of an M-step in which some start failed.
 
-    Each slice is classified on its own: failing slices of the stacked
-    ``np.linalg`` calls come back NaN, and collapsed or non-finite covariances
-    are replaced by the identity before factorisation.
+    ``min_eig`` (S, g) and ``chol`` (S, g, m, m) are the stacked smallest
+    eigenvalues and Cholesky factors of ``omega``, NaN where a slice failed.
+    A non-finite covariance counts as collapsed with eigenvalue NaN, whatever
+    the eigenvalue solver made of it.
     """
-    m = omega.shape[-1]
-    singular = ~np.all(np.isfinite(coef), axis=(-2, -1))
-    finite = np.all(np.isfinite(omega), axis=(-2, -1))
-    eye = np.eye(m)
-    min_eig = _stacked(np.linalg.eigvalsh, omega.shape[:-1],
-                       np.where(finite[..., None, None], omega, eye))[..., 0]
-    min_eig[~finite] = np.nan
+    singular = ~np.isfinite(coef).all(axis=(-2, -1))
+    min_eig[~np.isfinite(omega).all(axis=(-2, -1))] = np.nan
     collapsed = ~(min_eig >= COLLAPSE_EIGENVALUE)
-    chol = _stacked(np.linalg.cholesky, omega.shape,
-                    np.where(collapsed[..., None, None], eye, omega))
-    not_pd = ~np.all(np.isfinite(chol), axis=(-2, -1))
+    not_pd = ~np.isfinite(chol).all(axis=(-2, -1))
     errors = [None] * omega.shape[0]
     failed = singular | collapsed
     for s in np.flatnonzero(failed.any(axis=1) | not_pd.any(axis=1)):
@@ -169,7 +175,7 @@ def _classify_failures(coef: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray,
         else:
             k = int(np.argmax(not_pd[s]))
             errors[s] = NotPositiveDefiniteError(f"omega[{k}] is not positive definite")
-    return chol, errors
+    return errors
 
 
 def _freeze(spec: ModelSpec, pi, coef, omega) -> MvarParameters:
@@ -195,7 +201,8 @@ def m_step(series: SeriesMatrix, tau: Responsibilities, spec: ModelSpec) -> Mvar
     """
     design = _Design(series, spec)
     _require_shape(tau.tau, (design.yt.shape[1], spec.g), "tau")
-    update = _m_kernel(design, np.ascontiguousarray(tau.tau.T)[None])
+    with _nan_errstate():
+        update = _m_kernel(design, np.ascontiguousarray(tau.tau.T)[None])
     if update.errors[0] is not None:
         raise update.errors[0]
     return _freeze(spec, update.pi[0], update.coef[0], update.omega[0])
@@ -280,31 +287,33 @@ def _lockstep_em(design: _Design, tau0: np.ndarray, max_iter: int, tol: float) -
                 outcomes[rows[row]].error = error
         return [row for row, error in enumerate(errors) if error is None]
 
-    for iteration in range(max_iter + 1):
-        update = _m_kernel(design, tau, scratch[:rows.size])
-        ok = drop_failed(update.errors)
-        if ok is not None:
-            update, rows = update.select(ok), rows[ok]
-            if rows.size == 0:
-                break
-        loglik, tau, errors = _e_kernel(gaussian_log_densities(update.resid, update.chol),
-                                        np.log(update.pi), p)
-        ok = drop_failed(errors)
-        keep = []
-        for row in (range(rows.size) if ok is None else ok):
-            out = outcomes[rows[row]]
-            out.trace.append(float(loglik[row]))
-            out.converged = iteration > 0 and abs(out.trace[-1] - out.trace[-2]) < tol
-            if out.converged or iteration == max_iter:
-                out.iterations = iteration
-                out.pi, out.coef, out.omega = update.pi[row], update.coef[row], update.omega[row]
-                out.tau = tau[row]
-            else:
-                keep.append(row)
-        if len(keep) < rows.size:
-            tau, rows = tau[keep], rows[keep]
-            if rows.size == 0:
-                break
+    with _nan_errstate():      # failing slices and starts are read from NaNs
+        for iteration in range(max_iter + 1):
+            update = _m_kernel(design, tau, scratch[:rows.size])
+            ok = drop_failed(update.errors)
+            if ok is not None:
+                update, rows = update.select(ok), rows[ok]
+                if rows.size == 0:
+                    break
+            loglik, tau, errors = _e_kernel(gaussian_log_densities(update.resid, update.chol),
+                                            np.log(update.pi), p)
+            ok = drop_failed(errors)
+            keep = []
+            for row in (range(rows.size) if ok is None else ok):
+                out = outcomes[rows[row]]
+                out.trace.append(float(loglik[row]))
+                out.converged = iteration > 0 and abs(out.trace[-1] - out.trace[-2]) < tol
+                if out.converged or iteration == max_iter:
+                    out.iterations = iteration
+                    out.pi, out.coef = update.pi[row], update.coef[row]
+                    out.omega = update.omega[row]
+                    out.tau = tau[row]
+                else:
+                    keep.append(row)
+            if len(keep) < rows.size:
+                tau, rows = tau[keep], rows[keep]
+                if rows.size == 0:
+                    break
     return outcomes
 
 
@@ -395,11 +404,14 @@ def select_order(
 ) -> list[CandidateResult]:
     """Fit every (g, p) candidate and rank ascending by AIC or BIC.
 
-    Per-candidate failures are annotated (score = +inf), never abort the sweep.
-    The per-candidate seed is derived from (seed, g, p), so listing the same
-    candidate twice yields identical scores.
+    Per-candidate failures are annotated (score = +inf), never abort the sweep;
+    a bad argument (``n_starts``, ``max_iter``, ``tol``, ``criterion``, empty
+    candidate lists) raises one ``ValueError`` before any fit. The per-candidate
+    seed is derived from (seed, g, p), so listing the same candidate twice
+    yields identical scores.
     """
     _check_em_limits(max_iter, tol)
+    init = InitStrategy(n_starts=n_starts, seed=seed)
     if criterion not in ("aic", "bic"):
         raise ValueError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
     g_values = list(g_values)
@@ -412,11 +424,8 @@ def select_order(
             spec = ModelSpec(g=g, m=series.m, orders=(p,) * g)
             cand_seed = int(np.random.SeedSequence([seed, g, p]).generate_state(1)[0])
             try:
-                report = em_fit(
-                    series, spec,
-                    init=InitStrategy(n_starts=n_starts, seed=cand_seed),
-                    max_iter=max_iter, tol=tol,
-                )
+                report = em_fit(series, spec, init=replace(init, seed=cand_seed),
+                                max_iter=max_iter, tol=tol)
                 score = report.bic if criterion == "bic" else report.aic
                 results.append(CandidateResult(spec=spec, report=report, score=score))
             except (MvarError, ValueError) as exc:

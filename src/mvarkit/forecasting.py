@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotPositiveDefiniteError
-from .model import (ForecastOrigin, MvarParameters, _frozen, _require_finite, _require_shape,
-                    _require_symmetric, _require_weights, _stacked, companion_matrices)
+from .model import (ForecastOrigin, MvarParameters, _frozen, _lapack, _nan_errstate,
+                    _require_finite, _require_shape, _require_symmetric, _require_weights,
+                    companion_matrices)
 from .simulation import simulate_forward
 
 MOMENT_PSD_TOL = 1e-10
@@ -50,13 +51,13 @@ class MixtureNormalMV:
         _require_finite(means, "means")
         _require_finite(covs, "covs")
         _require_symmetric(covs, "mixture component {} covariance")
-        try:
-            np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError as exc:
-            failed = np.isnan(_stacked(np.linalg.cholesky, covs.shape, covs)).any(axis=(1, 2))
+        with _nan_errstate():
+            chol = _lapack.cholesky_lo(covs)     # a component without a factor comes back NaN
+        if np.isnan(chol.min()):
+            failed = np.isnan(chol).any(axis=(1, 2))
             raise NotPositiveDefiniteError(
                 f"mixture component {int(np.argmax(failed))} covariance is not positive definite"
-            ) from exc
+            )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)

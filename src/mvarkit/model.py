@@ -18,6 +18,9 @@ A model meets a series in one place for :func:`log_likelihood`,
 builds its scored observations and regressors, and the E-kernel
 ``_e_kernel`` turns a batch of starts' component log densities into
 log-likelihoods, responsibilities and :class:`DensityUnderflowError` failures.
+Stacked factorisations call numpy's LAPACK gufuncs through one handle,
+``_lapack``, under ``_nan_errstate``, where a failing slice is NaN and raises
+nothing.
 
 All objects are immutable after construction (arrays are marked read-only)
 and safe to share across threads.
@@ -39,6 +42,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import _umath_linalg as _lapack
 
 from .exceptions import (
     DensityUnderflowError,
@@ -142,22 +146,21 @@ def _require_series(series: SeriesMatrix, spec: ModelSpec) -> None:
         raise ValueError(f"need at least p+1={spec.p + 1} observations, got {series.n}")
 
 
-def _stacked(fn, out_shape, *arrays) -> np.ndarray:
-    """Apply an ``np.linalg`` function over stacked matrices; failing slices come back NaN.
+def _nan_errstate() -> np.errstate:
+    """The floating-point state in which stacked ``_lapack`` calls and EM arithmetic run.
 
-    ``np.linalg`` raises for the whole stack when a single slice fails, so on
-    failure every slice is redone alone and only the offenders are left NaN.
+    ``_lapack`` is numpy's own module of stacked LAPACK gufuncs (``solve``,
+    ``inv``, ``cholesky_lo``, ``eigvalsh_lo``), the ones ``np.linalg`` wraps.
+    Called directly, a slice whose factorisation fails comes back all NaN and
+    sets the "invalid" flag instead of raising for the whole stack; the other
+    slices are the ones ``np.linalg`` would return. Every flag is ignored here,
+    whatever the caller's state, so failures are read from the values, once
+    per slice: "invalid" for those NaNs, "over" and "divide" as ``np.linalg``
+    ignores them around the same calls, "over" also for a Gaussian quadratic
+    form that reaches +inf (see :func:`gaussian_log_densities`), and "under"
+    for the responsibilities' ``exp``.
     """
-    try:
-        return fn(*arrays)
-    except np.linalg.LinAlgError:
-        out = np.full(out_shape, np.nan)
-        for ix in np.ndindex(arrays[0].shape[:-2]):
-            try:
-                out[ix] = fn(*(a[ix] for a in arrays))
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    return np.errstate(all="ignore")
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,10 @@ class _Design:
 
     A conditional mean is x_t' B_k (see :func:`stacked_coefficients`).
     ``groups`` lists, per distinct order, its components and the width
-    1 + m * order of the regressor block they use.
+    1 + m * order of the regressor block they use. A contiguous run of
+    components is a slice, so indexing a stack with it gives a view and no
+    copy; equal orders are one group ``slice(0, g)``. Components of one order
+    that are not contiguous, as in orders (1, 2, 1), keep an index array.
     """
 
     def __init__(self, series: SeriesMatrix, spec: ModelSpec):
@@ -387,8 +393,13 @@ class _Design:
         self.x = regressor_matrix(series, spec.p)             # (N, d)
         self.xt = np.ascontiguousarray(self.x.T)              # (d, N)
         orders = np.asarray(spec.orders)
-        self.groups = [(np.flatnonzero(orders == order), 1 + spec.m * order)
-                       for order in sorted(set(spec.orders))]
+        self.groups = []
+        for order in sorted(set(spec.orders)):
+            members = np.flatnonzero(orders == order)
+            first, last = int(members[0]), int(members[-1])
+            if last - first + 1 == members.size:
+                members = slice(first, last + 1)
+            self.groups.append((members, 1 + spec.m * order))
 
     @cached_property
     def moments(self) -> np.ndarray:
@@ -428,14 +439,15 @@ def gaussian_log_densities(resid: np.ndarray, chol: np.ndarray) -> np.ndarray:
     ``resid`` has shape ``(..., m, n)`` (one column per observation) and
     ``chol`` holds the matching lower Cholesky factors, shape ``(..., m, m)``;
     leading axes broadcast. Returns shape ``(..., n)``.
+
+    Callers run it under :func:`_nan_errstate`: a quadratic form may overflow
+    to +inf, which surfaces as a -inf log density that the E-kernel reports as
+    a :class:`DensityUnderflowError` naming the observation.
     """
     m = chol.shape[-1]
-    half = np.linalg.inv(chol) @ resid
-    # overflow to +inf is fine: it surfaces as a -inf log density, which the
-    # E-step reports as a DensityUnderflowError naming the observation
-    with np.errstate(over="ignore"):
-        quad = np.einsum("...in,...in->...n", half, half)
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    half = _lapack.inv(chol) @ resid
+    quad = np.einsum("...in,...in->...n", half, half)
+    log_det = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     quad += m * LOG_2PI + log_det[..., None]
     quad *= -0.5
     return quad
@@ -445,7 +457,8 @@ def component_log_densities(params: MvarParameters, series: SeriesMatrix) -> np.
     """Per-component Gaussian log densities at every scored time, shape (n-p, g)."""
     design = _Design(series, params.spec)
     resid = stacked_residuals(stacked_coefficients(params), design.xt, design.yt)
-    return gaussian_log_densities(resid, params.cholesky_factors()).T
+    with _nan_errstate():
+        return gaussian_log_densities(resid, params.cholesky_factors()).T
 
 
 def _e_kernel(log_dens: np.ndarray, log_pi: np.ndarray, p: int):
@@ -456,13 +469,14 @@ def _e_kernel(log_dens: np.ndarray, log_pi: np.ndarray, p: int):
     densities all underflow at some observation (a NaN responsibility row)
     fails with :class:`DensityUnderflowError` naming the first such time
     index; the rows are searched only when some log-likelihood is non-finite.
+    Callers run it under :func:`_nan_errstate`, where such a row's
+    ``-inf - -inf`` is a quiet NaN.
     """
     log_dens += log_pi[..., None]
-    row_max = np.max(log_dens, axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        log_dens -= row_max
+    row_max = log_dens.max(axis=1, keepdims=True)
+    log_dens -= row_max
     np.exp(log_dens, out=log_dens)
-    total = np.sum(log_dens, axis=1, keepdims=True)
+    total = log_dens.sum(axis=1, keepdims=True)
     log_dens /= total
     row_loglik = (row_max + np.log(total))[:, 0]
     loglik = row_loglik.sum(axis=-1)
@@ -477,7 +491,8 @@ def _e_kernel(log_dens: np.ndarray, log_pi: np.ndarray, p: int):
 def _posterior(params: MvarParameters, series: SeriesMatrix) -> tuple[float, np.ndarray]:
     """Log-likelihood and (g, n-p) responsibilities: the one-start case of ``_e_kernel``."""
     log_dens = component_log_densities(params, series).T[None]
-    loglik, tau, errors = _e_kernel(log_dens, np.log(params.pi)[None], params.spec.p)
+    with _nan_errstate():
+        loglik, tau, errors = _e_kernel(log_dens, np.log(params.pi)[None], params.spec.p)
     if errors[0] is not None:
         raise errors[0]
     return float(loglik[0]), tau[0]

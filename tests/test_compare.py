@@ -112,6 +112,24 @@ def test_rolling_origin_rejects_bad_em_limits(series, limits, message):
                             **limits)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"n_origins": 0}, "n_origins must be >= 1, got 0"),
+    ({"n_origins": -1}, "n_origins must be >= 1, got -1"),
+    ({"train_length": 0}, "train_length must be >= 1, got 0"),
+    ({"train_length": -5}, "train_length must be >= 1, got -5"),
+])
+def test_rolling_origin_rejects_bad_counts_before_any_fit(series, counts, message, monkeypatch):
+    # not an all-NaN array with no message, nor numpy's "negative dimensions" error
+    import mvarkit.compare
+
+    fits = []
+    monkeypatch.setattr(mvarkit.compare, "em_fit", lambda *a, **k: fits.append(a))
+    kwargs = {"n_origins": 2, "train_length": 100, **counts}
+    with pytest.raises(ValueError) as err:
+        rolling_origin_crps(series, [ModelSpec(1, 3, (1,))], **kwargs)
+    assert str(err.value) == message and fits == []
+
+
 def test_rolling_origin_needs_enough_data(series):
     with pytest.raises(ValueError, match="too short"):
         rolling_origin_crps(series, [ModelSpec(1, 3, (1,))], n_origins=200,

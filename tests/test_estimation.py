@@ -9,6 +9,7 @@ from mvarkit import (
     ModelSpec,
     MvarError,
     MvarParameters,
+    NotPositiveDefiniteError,
     Responsibilities,
     SeriesMatrix,
     SimulationConfig,
@@ -176,6 +177,45 @@ class TestMStep:
             assert np.allclose(params.omega[k], om, atol=1e-10)
         assert np.allclose(params.pi, raw.mean(axis=0), atol=1e-15)
 
+    def test_noncontiguous_orders_match_oracle_in_a_batch(self):
+        # orders (1, 2, 1): the order-1 components 0 and 2 are not one run of indices, so
+        # their group keeps an index array while the order-2 group is a slice
+        rng = np.random.default_rng(19)
+        y = rng.normal(size=(80, 2)).cumsum(axis=0) * 0.1 + rng.normal(size=(80, 2))
+        series = SeriesMatrix(y)
+        spec = ModelSpec(3, 2, (1, 2, 1))
+        design = _Design(series, spec)
+        assert [(np.arange(3)[c].tolist(), width) for c, width in design.groups] == \
+            [([0, 2], 3), ([1], 5)]
+        assert isinstance(design.groups[1][0], slice)
+        tau = np.ascontiguousarray(dirichlet_starts(spec, 78, 23, 3))   # m_step's layout
+        batch = _m_kernel(design, tau)
+        assert batch.errors == [None] * 3
+        x = regressor_matrix(series, 2)
+        for s in range(3):
+            for k, order in enumerate(spec.orders):
+                width = 1 + 2 * order
+                coef = wls_explicit(x[:, :width], tau[s, k], y[2:])
+                assert np.allclose(batch.coef[s, k, :width], coef, atol=1e-10)
+                assert np.all(batch.coef[s, k, width:] == 0.0)
+                resid = y[2:] - x[:, :width] @ coef
+                om = (resid * tau[s, k][:, None]).T @ resid / tau[s, k].sum()
+                assert np.allclose(batch.omega[s, k], om, atol=1e-10)
+            alone = _m_kernel(design, tau[s:s + 1])
+            for field in ("pi", "coef", "resid", "omega", "chol"):
+                assert np.array_equal(getattr(alone, field)[0], getattr(batch, field)[s])
+        params = m_step(series, Responsibilities(tau[1].T), spec)
+        assert np.array_equal(params.theta0, batch.coef[1, :, 0])
+        assert np.array_equal(params.omega, batch.omega[1])
+
+    def test_design_groups_are_slices_for_runs(self):
+        series = SeriesMatrix(np.random.default_rng(20).normal(size=(10, 1)))
+        groups = {orders: _Design(series, ModelSpec(3, 1, orders)).groups
+                  for orders in [(2, 2, 2), (2, 1, 0), (0, 0, 1)]}
+        assert groups[(2, 2, 2)] == [(slice(0, 3), 3)]
+        assert groups[(2, 1, 0)] == [(slice(2, 3), 1), (slice(1, 2), 2), (slice(0, 1), 3)]
+        assert groups[(0, 0, 1)] == [(slice(0, 2), 1), (slice(2, 3), 2)]
+
     def test_singular_component_identified(self):
         series = SeriesMatrix(np.random.default_rng(8).normal(size=(40, 1)))
         spec = ModelSpec(2, 1, (1, 1))
@@ -194,6 +234,24 @@ class TestMStep:
         with pytest.raises(ComponentCollapseError) as err:
             m_step(series, Responsibilities(tau), spec)
         assert err.value.component == 0
+
+    def test_covariance_without_a_cholesky_factor_identified(self):
+        # rows along (0.6, 0.8) at scale 1e6 with 1e-3 across it: rounding leaves the smallest
+        # eigenvalue at 3.1e-5, above the collapse floor, but the Cholesky factorisation fails
+        rng = np.random.default_rng(5)
+        y = (1e6 * rng.normal(size=(10, 1)) * [0.6, 0.8]
+             + 1e-3 * rng.normal(size=(10, 1)) * [-0.8, 0.6])
+        series, spec = SeriesMatrix(y), ModelSpec(1, 2, (0,))
+        with np.errstate(invalid="ignore"):      # the kernel's callers set this state
+            update = _m_kernel(_Design(series, spec), np.ones((1, 1, 10)))
+        assert np.linalg.eigvalsh(update.omega[0, 0])[0] >= estimation.COLLAPSE_EIGENVALUE
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(update.omega[0, 0])
+        for fit in (lambda: m_step(series, Responsibilities(np.ones((10, 1))), spec),
+                    lambda: em_fit(series, spec)):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                fit()
+            assert str(err.value) == "omega[0] is not positive definite"
 
     def test_collapse_reports_the_covariance_eigenvalue(self):
         # start 0's component 1 sees 20 near-identical rows (variance ~1e-16); start 1 is healthy
@@ -366,6 +424,26 @@ class TestLockstep:
         assert report.loglik == pytest.approx(plain_em_winner(series, spec, 9, n_starts),
                                               abs=1e-9, rel=0)
 
+    def test_noncontiguous_orders_batch_matches_each_start_alone(self, ref_data):
+        spec = ModelSpec(3, 3, (1, 2, 1))
+        design = _Design(ref_data, spec)
+        tau0 = dirichlet_starts(spec, ref_data.n - spec.p, 6, 3)
+        # max_iter=0: one M-step from tau0, checked against the explicit WLS oracle
+        x = regressor_matrix(ref_data, 2)
+        for s, out in enumerate(_lockstep_em(design, tau0, 0, 1e-8)):
+            for k, order in enumerate(spec.orders):
+                width = 1 + 3 * order
+                coef = wls_explicit(x[:, :width], tau0[s, k], ref_data.values[2:])
+                assert np.allclose(out.coef[k, :width], coef, atol=1e-10)
+        together = _lockstep_em(design, tau0, 200, 1e-8)
+        for j in range(3):
+            alone = _lockstep_em(design, tau0[j:j + 1], 200, 1e-8)[0]
+            assert alone.trace == together[j].trace and str(alone.error) == str(together[j].error)
+            assert alone.iterations == together[j].iterations
+            if alone.error is None:
+                for field in ("pi", "coef", "omega", "tau"):
+                    assert np.array_equal(getattr(alone, field), getattr(together[j], field))
+
     def test_start_does_not_depend_on_batch_mates(self, ref_params, ref_data):
         spec = ref_params.spec
         design = _Design(ref_data, spec)
@@ -514,6 +592,14 @@ class TestSelectOrder:
         with pytest.raises(ValueError, match=message):
             select_order(ref_data, [1, 2], [1], n_starts=2, seed=0, **limits)
 
+    def test_bad_n_starts_raises_once_before_any_fit(self, ref_data, monkeypatch):
+        # not "n_starts must be >= 1" once per candidate in an all-failed ranking
+        fits = []
+        monkeypatch.setattr(estimation, "em_fit", lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match="n_starts must be >= 1"):
+            select_order(ref_data, [1, 2], [1, 2], n_starts=0, seed=0)
+        assert fits == []
+
     def test_failures_annotated_not_raised(self, ref_data):
         # p too large for the data length: that candidate fails, sweep continues
         tiny = SeriesMatrix(ref_data.values[:8])
@@ -522,3 +608,57 @@ class TestSelectOrder:
         assert scores[1].error is None
         assert scores[20].error is not None
         assert scores[20].score == float("inf")
+
+
+def _collapsing_fit_case():
+    """A p=0 fit in which starts 0, 1 and 5 of six collapse (as in TestLockstep)."""
+    y = np.concatenate([np.random.default_rng(0).normal(size=200), np.full(25, 2.0)])
+    return SeriesMatrix(y[:, None]), ModelSpec(2, 1, (0, 0))
+
+
+def _fp_em_fit_with_failing_starts(ref_params, ref_data):
+    series, spec = _collapsing_fit_case()
+    return em_fit(series, spec, InitStrategy(n_starts=6, seed=0))
+
+
+def _fp_em_fit_all_failing(ref_params, ref_data):
+    return em_fit(SeriesMatrix(np.full((60, 1), 0.0)), ModelSpec(2, 1, (1, 1)),
+                  InitStrategy(n_starts=3, seed=0))
+
+
+def _fp_m_step_singular(ref_params, ref_data):
+    series = SeriesMatrix(np.random.default_rng(8).normal(size=(40, 1)))
+    tau = np.column_stack([np.ones(39), np.zeros(39)])
+    return m_step(series, Responsibilities(tau), ModelSpec(2, 1, (1, 1)))
+
+
+# Entry points that run stacked LAPACK calls or EM arithmetic, with passing and failing inputs.
+FP_ENTRY_POINTS = {
+    "em_fit": lambda params, series: em_fit(series, params.spec, InitStrategy(3, 0)),
+    "em_fit_failing_starts": _fp_em_fit_with_failing_starts,
+    "em_fit_all_starts_fail": _fp_em_fit_all_failing,
+    "m_step": lambda params, series: m_step(series, e_step(params, series), params.spec),
+    "m_step_singular": _fp_m_step_singular,
+    "e_step": e_step,
+    "e_step_underflow": lambda params, series: e_step(*underflow_case()),
+    "log_likelihood": log_likelihood,
+    "log_likelihood_underflow": lambda params, series: log_likelihood(*underflow_case()),
+    "component_log_densities": component_log_densities,
+}
+
+
+class TestFloatingPointState:
+    @pytest.mark.parametrize("outer", [{}, {"all": "raise"},
+                                       {"over": "ignore", "invalid": "raise"}])
+    @pytest.mark.parametrize("entry", sorted(FP_ENTRY_POINTS))
+    def test_caller_state_is_restored(self, entry, outer, ref_params, ref_data):
+        # the package changes the floating-point state only inside its own calls, also when
+        # a start fails or an error is raised, and failing slices raise no FloatingPointError
+        with np.errstate(**outer):
+            before = np.geterr()
+            try:
+                FP_ENTRY_POINTS[entry](ref_params, ref_data)
+            except MvarError:
+                assert entry.endswith(("_underflow", "_singular", "_fail"))
+            after = np.geterr()
+        assert after == before

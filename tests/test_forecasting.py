@@ -317,6 +317,18 @@ class TestMixtureValidation:
             MixtureNormalMV(weights=[0.2, 0.3, 0.5], means=np.zeros((3, 2)), covs=covs,
                             horizon=1, origin_time=0)
 
+    @pytest.mark.parametrize("outer", [{}, {"all": "raise"}])
+    def test_first_failing_component_is_named(self, outer):
+        # components 1 (indefinite) and 3 (singular) have no Cholesky factor; the first is named
+        covs = [np.eye(2), [[1.0, 2.0], [2.0, 1.0]], np.eye(2), [[1.0, 1.0], [1.0, 1.0]]]
+        with np.errstate(**outer):
+            before = np.geterr()
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                MixtureNormalMV(weights=[0.25] * 4, means=np.zeros((4, 2)), covs=covs,
+                                horizon=1, origin_time=0)
+            assert np.geterr() == before
+        assert str(err.value) == "mixture component 1 covariance is not positive definite"
+
     def test_covs_must_be_spd(self):
         with pytest.raises(NotPositiveDefiniteError):
             MixtureNormalMV(weights=[1.0], means=np.zeros((1, 2)),

@@ -16,6 +16,7 @@ from mvarkit import (
     is_stable,
     log_likelihood,
 )
+from mvarkit.model import _lapack
 from conftest import REF_THETA1, make_ref_params, permuted, random_spd, random_stable_params
 from oracles import kron_spectral_radius, naive_log_likelihood, naive_residual
 
@@ -285,3 +286,52 @@ class TestStability:
             params = random_stable_params(rng, g=2, m=2, p=2)
             _, rho = is_stable(params)
             assert rho == pytest.approx(kron_spectral_radius(params.pi, params.theta), abs=1e-10)
+
+
+def _stack_with_failing_slice(bad_slice):
+    """A stack of four SPD (3, 3) matrices with ``bad_slice`` at index 2."""
+    stack = np.stack([random_spd(np.random.default_rng(i), 3) for i in range(4)])
+    stack[2] = bad_slice
+    return stack
+
+
+SINGULAR = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])   # rank 2
+INDEFINITE = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+NAN_MATRIX = np.full((3, 3), np.nan)                                     # eigvalsh: no convergence
+
+
+class TestLapackGufuncs:
+    """The numpy behaviour EM and the mixture check rely on when they call ``model._lapack``.
+
+    Under ``errstate(invalid="ignore")`` a stacked gufunc does not raise when
+    one slice fails: that slice comes back all NaN and sets the "invalid"
+    flag, and every other slice is bit-equal to ``np.linalg``'s result.
+    """
+
+    CASES = {   # name: (failing slice, stacked gufunc call, np.linalg on one matrix)
+        "solve": (SINGULAR, lambda a: _lapack.solve(a, np.ones((4, 3, 2))),
+                  lambda a: np.linalg.solve(a, np.ones((3, 2)))),
+        "inv": (SINGULAR, _lapack.inv, np.linalg.inv),
+        "cholesky_lo": (INDEFINITE, _lapack.cholesky_lo, np.linalg.cholesky),
+        "eigvalsh_lo": (NAN_MATRIX, _lapack.eigvalsh_lo, np.linalg.eigvalsh),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_failing_slice_is_nan_and_the_rest_match_np_linalg(self, name):
+        bad, stacked, one = self.CASES[name]
+        stack = _stack_with_failing_slice(bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            one(bad)
+        with np.errstate(invalid="ignore"):
+            out = stacked(stack)
+        assert np.isnan(out[2]).all()
+        for i in (0, 1, 3):
+            assert np.array_equal(out[i], one(stack[i]))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_failing_slice_sets_the_invalid_flag(self, name):
+        # outside an errstate that ignores "invalid" the call warns, and the suite turns
+        # that RuntimeWarning into an error: a misplaced errstate fails tier-1
+        bad, stacked, _ = self.CASES[name]
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            stacked(_stack_with_failing_slice(bad))

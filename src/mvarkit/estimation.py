@@ -116,8 +116,8 @@ def _m_kernel(design: _Design, tau: np.ndarray, scratch: np.ndarray | None = Non
     The solve, eigenvalue and Cholesky calls are numpy's stacked LAPACK
     gufuncs (``model._lapack``), run under the caller's ``_nan_errstate``: a
     failing slice comes back NaN and its batch mates are untouched. The normal
-    equations of each group of components of one order are solved together,
-    on views of the moment sums when the group is a slice. When every start
+    equations of each group of components of one order are solved together;
+    with one order, the whole Gram stack is solved as it is. When every start
     passes, one scalar test of the three results is the whole check; the
     per-start classification runs only when some start fails.
     """

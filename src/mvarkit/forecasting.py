@@ -53,8 +53,8 @@ class MixtureNormalMV:
         _require_symmetric(covs, "mixture component {} covariance")
         with _nan_errstate():
             chol = _lapack.cholesky_lo(covs)     # a component without a factor comes back NaN
-        if np.isnan(chol.min()):
-            failed = np.isnan(chol).any(axis=(1, 2))
+        failed = np.isnan(chol).any(axis=(1, 2))
+        if failed.any():
             raise NotPositiveDefiniteError(
                 f"mixture component {int(np.argmax(failed))} covariance is not positive definite"
             )

@@ -379,10 +379,7 @@ class _Design:
 
     A conditional mean is x_t' B_k (see :func:`stacked_coefficients`).
     ``groups`` lists, per distinct order, its components and the width
-    1 + m * order of the regressor block they use. A contiguous run of
-    components is a slice, so indexing a stack with it gives a view and no
-    copy; equal orders are one group ``slice(0, g)``. Components of one order
-    that are not contiguous, as in orders (1, 2, 1), keep an index array.
+    1 + m * order of the regressor block they use.
     """
 
     def __init__(self, series: SeriesMatrix, spec: ModelSpec):
@@ -393,13 +390,8 @@ class _Design:
         self.x = regressor_matrix(series, spec.p)             # (N, d)
         self.xt = np.ascontiguousarray(self.x.T)              # (d, N)
         orders = np.asarray(spec.orders)
-        self.groups = []
-        for order in sorted(set(spec.orders)):
-            members = np.flatnonzero(orders == order)
-            first, last = int(members[0]), int(members[-1])
-            if last - first + 1 == members.size:
-                members = slice(first, last + 1)
-            self.groups.append((members, 1 + spec.m * order))
+        self.groups = [(np.flatnonzero(orders == order), 1 + spec.m * order)
+                       for order in sorted(set(spec.orders))]
 
     @cached_property
     def moments(self) -> np.ndarray:

@@ -178,8 +178,7 @@ class TestMStep:
         assert np.allclose(params.pi, raw.mean(axis=0), atol=1e-15)
 
     def test_noncontiguous_orders_match_oracle_in_a_batch(self):
-        # orders (1, 2, 1): the order-1 components 0 and 2 are not one run of indices, so
-        # their group keeps an index array while the order-2 group is a slice
+        # orders (1, 2, 1): the order-1 components 0 and 2 are not one run of indices
         rng = np.random.default_rng(19)
         y = rng.normal(size=(80, 2)).cumsum(axis=0) * 0.1 + rng.normal(size=(80, 2))
         series = SeriesMatrix(y)
@@ -187,7 +186,6 @@ class TestMStep:
         design = _Design(series, spec)
         assert [(np.arange(3)[c].tolist(), width) for c, width in design.groups] == \
             [([0, 2], 3), ([1], 5)]
-        assert isinstance(design.groups[1][0], slice)
         tau = np.ascontiguousarray(dirichlet_starts(spec, 78, 23, 3))   # m_step's layout
         batch = _m_kernel(design, tau)
         assert batch.errors == [None] * 3
@@ -208,14 +206,6 @@ class TestMStep:
         assert np.array_equal(params.theta0, batch.coef[1, :, 0])
         assert np.array_equal(params.omega, batch.omega[1])
 
-    def test_design_groups_are_slices_for_runs(self):
-        series = SeriesMatrix(np.random.default_rng(20).normal(size=(10, 1)))
-        groups = {orders: _Design(series, ModelSpec(3, 1, orders)).groups
-                  for orders in [(2, 2, 2), (2, 1, 0), (0, 0, 1)]}
-        assert groups[(2, 2, 2)] == [(slice(0, 3), 3)]
-        assert groups[(2, 1, 0)] == [(slice(2, 3), 1), (slice(1, 2), 2), (slice(0, 1), 3)]
-        assert groups[(0, 0, 1)] == [(slice(0, 2), 1), (slice(2, 3), 2)]
-
     def test_singular_component_identified(self):
         series = SeriesMatrix(np.random.default_rng(8).normal(size=(40, 1)))
         spec = ModelSpec(2, 1, (1, 1))
@@ -235,18 +225,33 @@ class TestMStep:
             m_step(series, Responsibilities(tau), spec)
         assert err.value.component == 0
 
+    def test_covariance_without_a_cholesky_factor_classified(self):
+        # start 0's component 1 passes the eigenvalue test but its factor came back NaN;
+        # start 1's component 0 collapsed as well, which outranks its NaN factor
+        coef, omega = np.zeros((2, 2, 3, 2)), np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy()
+        min_eig = np.ones((2, 2))
+        min_eig[1, 0] = 1e-13
+        chol = omega.copy()
+        chol[0, 1] = chol[1, 1] = np.nan
+        errors = estimation._classify_failures(coef, omega, min_eig, chol)
+        assert isinstance(errors[0], NotPositiveDefiniteError)
+        assert str(errors[0]) == "omega[1] is not positive definite"
+        assert isinstance(errors[1], ComponentCollapseError) and errors[1].component == 0
+
     def test_covariance_without_a_cholesky_factor_identified(self):
-        # rows along (0.6, 0.8) at scale 1e6 with 1e-3 across it: rounding leaves the smallest
-        # eigenvalue at 3.1e-5, above the collapse floor, but the Cholesky factorisation fails
+        # rows along (0.6, 0.8) at scale 1e6 with 1e-3 across it: on common LAPACK builds,
+        # rounding leaves the smallest eigenvalue near 3e-5, above the collapse floor, while
+        # the Cholesky factorisation fails; other builds may round otherwise
         rng = np.random.default_rng(5)
         y = (1e6 * rng.normal(size=(10, 1)) * [0.6, 0.8]
              + 1e-3 * rng.normal(size=(10, 1)) * [-0.8, 0.6])
         series, spec = SeriesMatrix(y), ModelSpec(1, 2, (0,))
         with np.errstate(invalid="ignore"):      # the kernel's callers set this state
             update = _m_kernel(_Design(series, spec), np.ones((1, 1, 10)))
-        assert np.linalg.eigvalsh(update.omega[0, 0])[0] >= estimation.COLLAPSE_EIGENVALUE
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(update.omega[0, 0])
+        omega = update.omega[0, 0]
+        if not (np.linalg.eigvalsh(omega)[0] >= estimation.COLLAPSE_EIGENVALUE
+                and np.isnan(update.chol[0, 0]).all()):
+            pytest.skip("this LAPACK build rounds the covariance to a factorable or collapsed one")
         for fit in (lambda: m_step(series, Responsibilities(np.ones((10, 1))), spec),
                     lambda: em_fit(series, spec)):
             with pytest.raises(NotPositiveDefiniteError) as err:

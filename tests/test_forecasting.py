@@ -329,6 +329,11 @@ class TestMixtureValidation:
             assert np.geterr() == before
         assert str(err.value) == "mixture component 1 covariance is not positive definite"
 
+    def test_zero_dimensional_components_are_accepted(self):
+        mixture = MixtureNormalMV(weights=[0.5, 0.5], means=np.zeros((2, 0)),
+                                  covs=np.zeros((2, 0, 0)), horizon=1, origin_time=0)
+        assert (mixture.n_components, mixture.m) == (2, 0)
+
     def test_covs_must_be_spd(self):
         with pytest.raises(NotPositiveDefiniteError):
             MixtureNormalMV(weights=[1.0], means=np.zeros((1, 2)),

@@ -218,6 +218,8 @@ class InitStrategy:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotPositiveDefiniteError
-from .model import (ForecastOrigin, MvarParameters, _frozen, _lapack, _nan_errstate,
-                    _require_finite, _require_shape, _require_symmetric, _require_weights,
-                    companion_matrices)
+from .model import (ForecastOrigin, MvarParameters, _frozen, _require_finite, _require_shape,
+                    _require_spd, _require_symmetric, _require_weights, companion_matrices)
 from .simulation import simulate_forward
 
 MOMENT_PSD_TOL = 1e-10
@@ -50,14 +49,7 @@ class MixtureNormalMV:
         _require_weights(weights, "weights")
         _require_finite(means, "means")
         _require_finite(covs, "covs")
-        _require_symmetric(covs, "mixture component {} covariance")
-        with _nan_errstate():
-            chol = _lapack.cholesky_lo(covs)     # a component without a factor comes back NaN
-        failed = np.isnan(chol).any(axis=(1, 2))
-        if failed.any():
-            raise NotPositiveDefiniteError(
-                f"mixture component {int(np.argmax(failed))} covariance is not positive definite"
-            )
+        _require_spd(covs, "mixture component {} covariance")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)

@@ -249,29 +249,23 @@ def load_model(path) -> ModelFile:
     return model_from_dict(payload)
 
 
-def synthetic_dates(n: int, start: str = "2000-01-03") -> list[str]:
-    """Consecutive ISO dates for simulated series (which have no calendar)."""
-    base = datetime.date.fromisoformat(start)
+def synthetic_dates(n: int) -> list[str]:
+    """Consecutive ISO dates from 2000-01-03 for simulated series (which have no calendar)."""
+    base = datetime.date(2000, 1, 3)
     return [(base + datetime.timedelta(days=i)).isoformat() for i in range(n)]
 
 
-def format_series_csv(series: SeriesMatrix, names=None, dates=None) -> str:
-    if names is None:
-        names = [f"y{i + 1}" for i in range(series.m)]
-    if dates is None:
-        dates = synthetic_dates(series.n)
-    if len(names) != series.m or len(dates) != series.n:
-        raise DataFormatError("names/dates lengths do not match the series")
+def format_series_csv(series: SeriesMatrix) -> str:
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", *names])
-    for date, row in zip(dates, series.values):
+    writer.writerow(["date", *(f"y{i + 1}" for i in range(series.m))])
+    for date, row in zip(synthetic_dates(series.n), series.values):
         writer.writerow([date, *(repr(float(v)) for v in row)])
     return buf.getvalue()
 
 
-def write_series_csv(path, series: SeriesMatrix, names=None, dates=None) -> None:
-    atomic_write_text(path, format_series_csv(series, names, dates))
+def write_series_csv(path, series: SeriesMatrix) -> None:
+    atomic_write_text(path, format_series_csv(series))
 
 
 def mixture1d_to_dict(mix: MixtureNormal1D) -> dict:
@@ -297,16 +291,16 @@ def mixture1d_from_dict(d: dict) -> MixtureNormal1D:
         raise DataFormatError(f"mixture JSON missing key {exc}") from exc
 
 
-def density_grid(mix: MixtureNormal1D, n_points: int = DENSITY_GRID_POINTS):
-    """Plot-ready (x, density) arrays over mean +/- 6 sd of the mixture."""
+def density_grid(mix: MixtureNormal1D):
+    """Plot-ready (x, density) arrays, :data:`DENSITY_GRID_POINTS` long, over mean +/- 6 sd."""
     mean, var = scalar_mixture_moments(mix)
     sd = float(np.sqrt(var))
-    x = np.linspace(mean - 6.0 * sd, mean + 6.0 * sd, n_points)
+    x = np.linspace(mean - 6.0 * sd, mean + 6.0 * sd, DENSITY_GRID_POINTS)
     return x, mixture_pdf(mix, x)
 
 
-def format_density_csv(mix: MixtureNormal1D, n_points: int = DENSITY_GRID_POINTS) -> str:
-    x, dens = density_grid(mix, n_points)
+def format_density_csv(mix: MixtureNormal1D) -> str:
+    x, dens = density_grid(mix)
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "density"])

@@ -29,10 +29,11 @@ The value types' invariants live here, once each, for every module's
 constructors: ``_require_shape`` (:class:`DimensionError`),
 ``_require_finite`` and ``_require_positive`` (``ValueError``),
 ``_require_weights`` (finite, strictly positive, summing to 1 within
-:data:`WEIGHT_SUM_TOL`) and
+:data:`WEIGHT_SUM_TOL`),
 ``_require_symmetric`` (the relative test of ``_asymmetric``,
-:class:`NotPositiveDefiniteError`); ``_frozen`` makes the read-only copy
-that every value type stores.
+:class:`NotPositiveDefiniteError`) and ``_require_spd`` (symmetric, then
+factored by the ``_lapack`` Cholesky gufunc that EM uses); ``_frozen`` makes
+the read-only copy that every value type stores.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from numpy.linalg import _umath_linalg as _lapack
 
 from .exceptions import (
@@ -163,6 +163,21 @@ def _nan_errstate() -> np.errstate:
     return np.errstate(all="ignore")
 
 
+def _require_spd(covs: np.ndarray, label: str) -> np.ndarray:
+    """Lower Cholesky factors of the finite stack ``covs`` (..., m, m), which must pass
+    :func:`_require_symmetric`, from the ``_lapack`` gufunc that EM's M-step uses. The first
+    matrix whose factor comes back NaN raises :class:`NotPositiveDefiniteError`, named by
+    ``label.format(i)``; an empty stack passes."""
+    _require_symmetric(covs, label)
+    with _nan_errstate():
+        chol = _lapack.cholesky_lo(covs)
+    failed = np.isnan(chol).any(axis=(-2, -1))
+    if failed.any():
+        raise NotPositiveDefiniteError(
+            f"{label.format(int(np.argmax(failed)))} is not positive definite")
+    return chol
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Structural description: component count ``g``, dimension ``m``, AR orders."""
@@ -241,13 +256,7 @@ class MvarParameters:
                         f"theta[{k},{lag}] must be a zero block: lag {lag + 1} exceeds "
                         f"component order {spec.orders[k]}"
                     )
-        _require_symmetric(omega, "omega[{}]")
-        chols = np.empty((g, m, m))
-        for k in range(g):
-            try:
-                chols[k] = scipy.linalg.cholesky(omega[k], lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(f"omega[{k}] is not positive definite: {exc}") from exc
+        chols = _require_spd(omega, "omega[{}]")
         chols.setflags(write=False)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "theta0", theta0)

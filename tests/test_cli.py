@@ -109,6 +109,13 @@ class TestFit:
         assert capsys.readouterr().err.splitlines() == ["error: tol must be finite and >= 0"]
         assert not (tmp_path / "x.json").exists()
 
+    def test_negative_seed_is_an_error(self, tmp_path, sim_csv, capsys):
+        rc = cli.main(["fit", "--data", str(sim_csv), "--components", "2", "--orders", "1,1",
+                       "--seed", "-1", "--out", str(tmp_path / "x.json"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0"]
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestForecast:
     def test_analytic_two_step(self, tmp_path, model_path, sim_csv):

@@ -319,6 +319,10 @@ class TestEmFit:
         report = em_fit(ref_data, ref_params.spec, init=InitStrategy(n_starts=1), max_iter=0)
         assert report.iterations == 0 and len(report.loglik_trace) == 1
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            InitStrategy(n_starts=2, seed=-1)
+
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -float("inf")])
     def test_tol_must_be_finite_and_nonnegative(self, ref_params, ref_data, tol):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
@@ -603,6 +607,13 @@ class TestSelectOrder:
         monkeypatch.setattr(estimation, "em_fit", lambda *a, **k: fits.append(a))
         with pytest.raises(ValueError, match="n_starts must be >= 1"):
             select_order(ref_data, [1, 2], [1, 2], n_starts=0, seed=0)
+        assert fits == []
+
+    def test_negative_seed_raises_once_before_any_fit(self, ref_data, monkeypatch):
+        fits = []
+        monkeypatch.setattr(estimation, "em_fit", lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            select_order(ref_data, [1, 2], [1, 2], n_starts=2, seed=-1)
         assert fits == []
 
     def test_failures_annotated_not_raised(self, ref_data):

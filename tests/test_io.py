@@ -1,10 +1,15 @@
 import io as stdio
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvarkit import DataFormatError, ModelFileError, SeriesMatrix, returns_from_prices
+from mvarkit import (DataFormatError, ModelFileError, ModelSpec, MvarParameters, SeriesMatrix,
+                     returns_from_prices)
 from mvarkit import io as mio
 from conftest import make_portfolio_mixture, make_ref_params
 
@@ -164,6 +169,40 @@ class TestModelFile:
         path.write_text("not json at all")
         with pytest.raises(ModelFileError, match="JSON"):
             mio.load_model(path)
+
+
+def assert_same_model_file(got: mio.ModelFile, want: mio.ModelFile) -> None:
+    assert got.params.spec == want.params.spec
+    assert got.provenance == want.provenance
+    for field in ("pi", "theta0", "theta", "omega"):
+        a, b = getattr(got.params, field), getattr(want.params, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 3), m=st.integers(1, 3),
+       orders=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       log_scale=st.floats(-6.0, 6.0))
+@settings(deadline=None, derandomize=True, max_examples=150)
+def test_model_file_round_trip_is_bit_exact(seed, g, m, orders, log_scale):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    spec = ModelSpec(g, m, tuple(orders[:g]))
+    theta = rng.normal(0.0, 0.3, (g, spec.p, m, m))
+    for k, order in enumerate(spec.orders):
+        theta[k, order:] = 0.0
+    a = rng.normal(size=(g, m, m))
+    omega = scale ** 2 * (a @ a.transpose(0, 2, 1) + 0.3 * np.eye(m))
+    params = MvarParameters(spec=spec, pi=rng.dirichlet(np.ones(g)),
+                            theta0=rng.normal(0.0, scale, (g, m)), theta=theta,
+                            omega=0.5 * (omega + omega.transpose(0, 2, 1)))
+    provenance = {"seed": seed, "scale": scale, "data_sha256": "ab" * 32,
+                  "fit": {"orders": orders[:g], "tol": 1e-8}}
+    mf = mio.ModelFile(params=params, provenance=provenance)
+    assert_same_model_file(mio.model_from_dict(json.loads(json.dumps(mio.model_to_dict(mf)))), mf)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        mio.save_model(path, mf)
+        assert_same_model_file(mio.load_model(path), mf)
 
 
 class TestMixtureJson:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mvarkit import (
     DimensionError,
     ForecastOrigin,
+    InitStrategy,
     ModelSpec,
     MvarParameters,
     NotPositiveDefiniteError,
@@ -13,10 +14,11 @@ from mvarkit import (
     TimeIndexError,
     companion_matrices,
     component_residual,
+    em_fit,
     is_stable,
     log_likelihood,
 )
-from mvarkit.model import _lapack
+from mvarkit.model import _lapack, _require_spd
 from conftest import REF_THETA1, make_ref_params, permuted, random_spd, random_stable_params
 from oracles import kron_spectral_radius, naive_log_likelihood, naive_residual
 
@@ -335,3 +337,37 @@ class TestLapackGufuncs:
         bad, stacked, _ = self.CASES[name]
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             stacked(_stack_with_failing_slice(bad))
+
+
+class TestRequireSpd:
+    """``model._require_spd``: the one positive-definiteness check of every covariance stack."""
+
+    def test_first_failing_slice_is_named(self):
+        stack = _stack_with_failing_slice(INDEFINITE)
+        stack[3] = SINGULAR
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            _require_spd(stack, "cov[{}]")
+        assert str(err.value) == "cov[2] is not positive definite"
+
+    def test_symmetry_is_checked_first(self):
+        stack = _stack_with_failing_slice(INDEFINITE)
+        stack[3, 0, 1] += 1.0
+        with pytest.raises(NotPositiveDefiniteError, match=r"cov\[3\] is not symmetric"):
+            _require_spd(stack, "cov[{}]")
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0)])
+    def test_empty_stack_passes(self, shape):
+        assert _require_spd(np.zeros(shape), "cov[{}]").shape == shape
+
+
+class TestCholeskyFactors:
+    def test_em_fit_factors_are_np_linalg_cholesky(self, ref_params, ref_path):
+        params = em_fit(ref_path, ref_params.spec, InitStrategy(n_starts=2, seed=1)).params
+        assert np.array_equal(params.cholesky_factors(), np.linalg.cholesky(params.omega))
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8])
+    def test_random_models_factors_are_np_linalg_cholesky(self, m):
+        rng = np.random.default_rng(m)
+        for g in (1, 2, 3):
+            params = random_stable_params(rng, g=g, m=m, p=1)
+            assert np.array_equal(params.cholesky_factors(), np.linalg.cholesky(params.omega))

@@ -1,8 +1,8 @@
-"""The mixture validators against plain predicates, on random mixtures with one injected fault.
+"""The value-type validators against plain predicates, on random values with one injected fault.
 
 Each predicate below restates a class's contract with Python loops and no
 package code. A constructor must raise exactly the class the predicate names,
-and accept every mixture the predicate accepts.
+and accept every value the predicate accepts.
 """
 
 import numpy as np
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvarkit import MixtureNormal1D, MixtureNormalMV, MomentPair, NotPositiveDefiniteError
+from mvarkit import (MixtureNormal1D, MixtureNormalMV, ModelSpec, MomentPair, MvarParameters,
+                     NotPositiveDefiniteError)
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -48,6 +49,14 @@ def expected_mv(weights, means, covs):
     if not all_finite(covs):
         return ValueError
     if any(asymmetric(c) for c in covs) or any(lower_eigenvalues(c)[0] <= 0.0 for c in covs):
+        return NotPositiveDefiniteError
+    return None
+
+
+def expected_params(pi, theta0, theta, omega):
+    if weights_fault(pi) or not (all_finite(theta0) and all_finite(theta) and all_finite(omega)):
+        return ValueError
+    if any(asymmetric(c) for c in omega) or any(lower_eigenvalues(c)[0] <= 0.0 for c in omega):
         return NotPositiveDefiniteError
     return None
 
@@ -130,6 +139,30 @@ def test_mixture_normal_mv(seed, c, m, log_scale, fault, field):
         inject_cov(rng, fields["covs"][int(rng.integers(c))], fault, scale)
     check(expected_mv(**fields),
           lambda: MixtureNormalMV(**fields, horizon=1, origin_time=0))
+
+
+@given(**common, p=st.integers(0, 2),
+       fault=st.sampled_from([None, "non_finite"] + WEIGHT_FAULTS + COV_FAULTS),
+       field=st.sampled_from(["pi", "theta0", "theta", "omega"]))
+@settings(deadline=None, derandomize=True, max_examples=400)
+def test_mvar_parameters(seed, c, m, log_scale, p, fault, field):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    if fault == "asymmetric":
+        m = max(m, 2)
+    if fault == "non_finite" and field == "theta":
+        p = max(p, 1)      # a p=0 theta has no entry to corrupt
+    w = rng.dirichlet(np.ones(c))
+    fields = {"pi": w / w.sum(), "theta0": rng.normal(0.0, scale ** 0.5, (c, m)),
+              "theta": rng.normal(0.0, 0.3, (c, p, m, m)), "omega": clean_covs(rng, c, m, scale)}
+    if fault == "non_finite":
+        fields[field].flat[int(rng.integers(fields[field].size))] = rng.choice(NON_FINITE)
+    elif fault in WEIGHT_FAULTS:
+        inject_weights(rng, fields["pi"], fault)
+    elif fault in COV_FAULTS:
+        inject_cov(rng, fields["omega"][int(rng.integers(c))], fault, scale)
+    check(expected_params(**fields),
+          lambda: MvarParameters(spec=ModelSpec(c, m, (p,) * c), **fields))
 
 
 @given(**common, fault=st.sampled_from([None, "non_finite"] + COV_FAULTS),

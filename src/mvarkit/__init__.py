@@ -50,7 +50,6 @@ from .model import (
     SeriesMatrix,
     companion_matrices,
     component_log_densities,
-    component_residual,
     is_stable,
     log_likelihood,
     regressor_matrix,

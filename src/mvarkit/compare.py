@@ -17,7 +17,7 @@ from .estimation import FitReport, InitStrategy, _check_em_limits, em_fit
 from .exceptions import MvarError
 from .model import ForecastOrigin, ModelSpec, SeriesMatrix
 from .portfolio import horizon_portfolio, scalar_mixture_moments
-from .risk import crps_mixture, var_es
+from .risk import _require_alpha, crps_mixture, var_es
 
 
 @dataclass
@@ -82,9 +82,11 @@ def evaluate_holdout(
     From the origin at the end of the training span each model forms its h=1
     and h=2 minimum variance portfolios; realized returns are the portfolio
     values of the two held-out observations. Per-model failures are annotated
-    and the run continues.
+    and the run continues; a bad argument (``alpha``, EM limits, specs) raises
+    one ``ValueError`` before any fit.
     """
     _check_em_limits(max_iter, tol)
+    _require_alpha(alpha)
     if not specs:
         raise ValueError("specs must be nonempty")
     if model_ids is None:

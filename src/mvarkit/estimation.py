@@ -20,6 +20,14 @@ in lockstep; the public ``e_step`` and ``m_step`` are the one-start case of
 the same kernels. The design (``_Design``) and the E-kernel (``_e_kernel``)
 live in :mod:`mvarkit.model`, where ``log_likelihood`` runs them too.
 
+Starts that have joined an earlier start's basin leave the batch early. At
+iterations 2, 4, 8, 16, ... a running start is retired when a lower-index
+start has a log-likelihood at least its own and, both in descending-``pi``
+label order, parameters within ``RETIRE_REL`` (1e-2) in scale-free units
+(``_basin_features``). ``em_fit`` picks its winner among the starts that were
+not retired; its docstring states the rule and the two cases in which the
+fit differs from the one every start run to its end would give.
+
 Failures are read from values and classified only when a start fails. The
 stacked solve, eigenvalue, Cholesky and inverse calls go straight to numpy's
 LAPACK gufuncs (``model._lapack``), under one ``model._nan_errstate`` per
@@ -65,6 +73,7 @@ from .model import (
 
 ROW_SUM_TOL = 1e-10
 COLLAPSE_EIGENVALUE = 1e-12
+RETIRE_REL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -264,6 +273,51 @@ class _StartOutcome:
     coef: np.ndarray | None = None
     omega: np.ndarray | None = None
     tau: np.ndarray | None = None     # (g, N) responsibilities under the final parameters
+    duplicate_of: int | None = None   # retired at ``iterations`` as trailing this start
+
+
+def _basin_features(update: _Update) -> np.ndarray:
+    """Each start's parameters as one row of scale-free numbers, components by descending ``pi``.
+
+    Per component: the weight over the largest weight; the mean residual, the
+    AR blocks (``theta[r, c] * sd_c / sd_r``) and the covariance as
+    correlations, all in units of the innovation sds ``sqrt(diag omega_k)``;
+    and the log variances ``log diag omega_k``, whose differences compare the
+    variances relative to each other. Differences between rows are unchanged
+    by a map ``Y -> aY + b`` of the columns (up to one sign per entry) and by
+    relabelling.
+    """
+    n_starts, g, _, m = update.coef.shape
+    var = np.diagonal(update.omega, axis1=-2, axis2=-1)             # (S, g, m)
+    sd = np.sqrt(var)
+    outer = sd[..., :, None] * sd[..., None, :]
+    lags = update.coef[:, :, 1:].reshape(n_starts, g, -1, m, m)     # [..., i, c, r] = theta_i[r, c]
+    lags = lags * (sd[..., :, None] / sd[..., None, :])[:, :, None]
+    features = np.concatenate([(update.pi / update.pi.max(axis=1, keepdims=True))[..., None],
+                               update.resid.mean(axis=-1) / sd, lags.reshape(n_starts, g, -1),
+                               np.log(var), (update.omega / outer).reshape(n_starts, g, -1)], axis=-1)
+    order = np.argsort(-update.pi, axis=1, kind="stable")
+    return features[np.arange(n_starts)[:, None], order].reshape(n_starts, -1)
+
+
+def _retirements(update: _Update, loglik: np.ndarray, live: list[int]) -> dict[int, int]:
+    """Rows of ``live`` that trail an earlier row in its basin, each mapped to that row.
+
+    Row j trails row q < j when q's log-likelihood is at least j's and every
+    entry of ``_basin_features`` differs by at most ``RETIRE_REL``. Rows are
+    taken in order and q must not itself be retired here, so every retired
+    row names a row that goes on. A row whose log-likelihood is NaN (a failed
+    E-step) matches nothing.
+    """
+    features = _basin_features(update)
+    gap = np.abs(features[:, None] - features[None]).max(axis=-1)
+    trails = ((gap <= RETIRE_REL) & (loglik[:, None] >= loglik[None])).tolist()   # [q][j]
+    retired: dict[int, int] = {}
+    for j in live:
+        q = next((q for q in range(j) if trails[q][j] and q not in retired), None)
+        if q is not None:
+            retired[j] = q
+    return retired
 
 
 def _lockstep_em(design: _Design, tau0: np.ndarray, max_iter: int, tol: float) -> list[_StartOutcome]:
@@ -271,14 +325,26 @@ def _lockstep_em(design: _Design, tau0: np.ndarray, max_iter: int, tol: float) -
 
     Each iteration is one M-step and one E-step for every start still running.
     A start leaves the batch when its log-likelihood changes by less than
-    ``tol``, after ``max_iter`` iterations, or when it fails; no start's
-    arithmetic depends on the others in the batch.
+    ``tol``, after ``max_iter`` iterations, when it fails, or when it is
+    retired. At the checkpoint iterations 2, 4, 8, 16, ... a running start
+    is retired, with ``duplicate_of`` set, when it trails a lower-index start
+    of the same iteration in the same basin (``_retirements``); its outcome
+    holds its state at that iteration. No start's arithmetic depends on the
+    others in the batch: a start that is not retired ends as it would alone,
+    and a retired one's trace is a prefix of its solo run. A batch of one
+    start never retires.
     """
     p = design.spec.p
     outcomes = [_StartOutcome(trace=[]) for _ in range(tau0.shape[0])]
     rows = np.arange(tau0.shape[0])        # outcome index of each batch row
     tau = tau0
     scratch = np.empty((*tau0.shape[:2], design.spec.m, tau0.shape[2]))
+
+    def settle(out, row):
+        """Record the state of ``row`` at this iteration as the end of ``out``."""
+        out.iterations = iteration
+        out.pi, out.coef, out.omega = update.pi[row], update.coef[row], update.omega[row]
+        out.tau = tau[row]
 
     def drop_failed(errors):
         """Record the errors of failed rows; the surviving rows, or None if none failed."""
@@ -306,12 +372,16 @@ def _lockstep_em(design: _Design, tau0: np.ndarray, max_iter: int, tol: float) -
                 out.trace.append(float(loglik[row]))
                 out.converged = iteration > 0 and abs(out.trace[-1] - out.trace[-2]) < tol
                 if out.converged or iteration == max_iter:
-                    out.iterations = iteration
-                    out.pi, out.coef = update.pi[row], update.coef[row]
-                    out.omega = update.omega[row]
-                    out.tau = tau[row]
+                    settle(out, row)
                 else:
                     keep.append(row)
+            if keep and keep[-1] > 0 and iteration >= 2 and not iteration & (iteration - 1):
+                retired = _retirements(update, loglik, keep)
+                for row, q in retired.items():
+                    out = outcomes[rows[row]]
+                    out.duplicate_of = int(rows[q])
+                    settle(out, row)
+                keep = [row for row in keep if row not in retired]
             if len(keep) < rows.size:
                 tau, rows = tau[keep], rows[keep]
                 if rows.size == 0:
@@ -338,22 +408,46 @@ def em_fit(
 
     All starts run in lockstep through one batched EM loop (see
     ``_lockstep_em``). Each start draws its initial responsibilities from its
-    own ``SeedSequence(seed).spawn(n_starts)`` stream, and its result does not
-    depend on the other starts; there is no acceleration or warm start. The
-    trace is non-decreasing (EM ascent); convergence means the absolute
+    own ``SeedSequence(seed).spawn(n_starts)`` stream, and its arithmetic does
+    not depend on the other starts; there is no acceleration or warm start.
+    The trace is non-decreasing (EM ascent); convergence means the absolute
     log-likelihood change fell below ``tol``. Non-convergence is reported via
     ``converged=False``, not an error. Starts that fail (a singular or
     collapsed component, a covariance without a Cholesky factor, density
-    underflow) leave the batch while the others continue; if every start
-    fails, the error of the last start is raised. The winner is the start of
-    lowest index among those whose final log-likelihood lies within ``tol`` of
-    the best. Starts that reach one mode stop apart by rounding and by where
-    the ``tol`` test caught them; a strict maximum would let summation order
+    underflow) leave the batch while the others continue.
+
+    Starts that have joined an earlier start's basin are retired, the
+    pruning of multi-start EM in Biernacki, Celeux & Govaert (2003, CSDA
+    41(3-4)) and O'Hagan, Murphy & Gormley (2012, CSDA 56(12)). At
+    iterations 2, 4, 8, 16, ... a running start j stops when a lower-index
+    start q has a log-likelihood at least j's and, with both in
+    descending-``pi`` label order, parameters within ``RETIRE_REL`` of j's:
+    weights relative to the largest weight; mean residuals, AR blocks and
+    covariances in units of the innovation sds; variances relative to each
+    other. The test does not depend on the data's scale, location or column
+    order, nor on the labels.
+
+    The winner is the start of lowest index, among the starts not retired,
+    whose final log-likelihood lies within ``tol`` of the best of them. If
+    every such start fails, the error of the last failed start is raised.
+    Starts that reach one mode stop apart by rounding and by where the
+    ``tol`` test caught them; a strict maximum would let summation order
     pick the reported fit, and the tie window makes such swaps rare (a start
-    at the window's edge can still flip). Parameters and
-    responsibilities are validated once, for the winning start. Components of
-    the returned fit are ordered by descending mixing weight (ties broken
-    lexicographically on the intercepts) to fix label switching.
+    at the window's edge can still flip). Retirement keeps the lowest index
+    of each basin, so the fit is the one this rule picks from every start run
+    to its end, with two exceptions:
+
+    - no start converges within ``max_iter``, and a retired start would
+      have ended above the start q it trailed;
+    - a retired start would later have overtaken q, which among starts
+      that converge takes a gap of about ``tol`` at the end, since starts of
+      one basin stop apart by where the ``tol`` test caught them; or q fails
+      later on.
+
+    Parameters and responsibilities are validated once, for the winning
+    start. Components of the returned fit are ordered by descending mixing
+    weight (ties broken lexicographically on the intercepts) to fix label
+    switching.
     """
     _check_em_limits(max_iter, tol)
     if init is None:
@@ -365,9 +459,9 @@ def em_fit(
     tau0 = np.stack([np.random.default_rng(ss).dirichlet(np.ones(spec.g), size=n_scored).T
                      for ss in streams])
     outcomes = _lockstep_em(design, tau0, max_iter, tol)
-    finished = [out for out in outcomes if out.error is None]
+    finished = [out for out in outcomes if out.error is None and out.duplicate_of is None]
     if not finished:
-        raise outcomes[-1].error
+        raise next(out.error for out in reversed(outcomes) if out.error is not None)
     top = max(out.trace[-1] for out in finished)
     best = next(out for out in finished if top - out.trace[-1] <= tol)
     params, tau = _canonicalize(spec, best.pi, best.coef, best.omega, best.tau.T)

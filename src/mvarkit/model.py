@@ -418,22 +418,6 @@ def _regressor_row(history: np.ndarray) -> np.ndarray:
     return np.concatenate([[1.0], history[::-1].ravel()])
 
 
-def component_residual(params: MvarParameters, series: SeriesMatrix, t: int, k: int) -> np.ndarray:
-    """Residual of component ``k`` at row ``t``: ``Y_t - x_t' B_k`` for the regressor row ``x_t``.
-
-    ``t`` is a 0-based row index and must leave ``p`` lags available
-    (``p <= t < n``); ``k`` is a 0-based component index.
-    """
-    spec = params.spec
-    if t < spec.p or t >= series.n:
-        raise TimeIndexError(f"t={t} outside scored range [{spec.p}, {series.n - 1}]")
-    _require_series(series, spec)   # only the width can fail: p <= t < n leaves p+1 rows
-    if not 0 <= k < spec.g:
-        raise TimeIndexError(f"component k={k} outside range [0, {spec.g - 1}]")
-    y = series.values
-    return y[t] - _regressor_row(y[t - spec.p: t]) @ stacked_coefficients(params)[k]
-
-
 def gaussian_log_densities(resid: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Zero-mean Gaussian log densities of residual columns.
 

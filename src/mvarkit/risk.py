@@ -43,6 +43,12 @@ QUANTILE_CDF_TOL = 1e-10
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _require_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless the confidence level ``alpha`` lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+
+
 def _phi(z: np.ndarray) -> np.ndarray:
     """Standard normal density of an array."""
     return np.exp(-0.5 * z * z) / _SQRT_2PI
@@ -57,8 +63,7 @@ class RiskReport:
     es: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        _require_alpha(self.alpha)
         if not (math.isfinite(self.var) and math.isfinite(self.es)):
             raise ValueError("VaR and ES must be finite")
         if self.es > self.var + 1e-12:
@@ -209,8 +214,7 @@ def var_es(mix: MixtureNormal1D, alpha: float = 0.95) -> RiskReport:
     ES uses the Gaussian lower-tail partial expectation per component:
     E[X 1{X<=v}] = mu Phi(z) - sd phi(z) with z = (v - mu)/sd.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    _require_alpha(alpha)
     weights, means, sds = mix.weights, mix.means, mix.sds
     var = mixture_quantile(mix, 1.0 - alpha)
     z = (var - means) / sds

@@ -243,6 +243,16 @@ class TestCompareAndAcf:
         assert "failed" not in captured.out
         assert not out.exists()
 
+    def test_compare_bad_alpha_is_one_error(self, tmp_path, sim_csv, capsys):
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare", "--data", str(sim_csv), "--spec", "2:1,1", "--spec", "1:1",
+                       "--alpha", "1.5", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: alpha must be in (0,1), got 1.5"]
+        assert "failed" not in captured.out
+        assert not out.exists()
+
     def test_acf_row_count(self, tmp_path, sim_csv):
         out = tmp_path / "acf.csv"
         rc = cli.main(["acf", "--data", str(sim_csv), "--max-lag", "3",

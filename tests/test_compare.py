@@ -104,6 +104,18 @@ def test_holdout_rejects_bad_em_limits(series, limits, message):
         evaluate_holdout(series, [ModelSpec(1, 3, (1,)), ModelSpec(2, 3, (1, 1))], **limits)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 0.0, 1.0, float("nan")])
+def test_holdout_rejects_bad_alpha_before_any_fit(series, alpha, monkeypatch):
+    # not NaN rows after fitting every model
+    import mvarkit.compare
+
+    fits = []
+    monkeypatch.setattr(mvarkit.compare, "em_fit", lambda *a, **k: fits.append(a))
+    with pytest.raises(ValueError) as err:
+        evaluate_holdout(series, [ModelSpec(1, 3, (1,))], alpha=alpha)
+    assert str(err.value) == f"alpha must be in (0,1), got {alpha}" and fits == []
+
+
 @pytest.mark.parametrize("limits, message", BAD_LIMITS)
 def test_rolling_origin_rejects_bad_em_limits(series, limits, message):
     # not an all-NaN array with no message

@@ -15,7 +15,6 @@ from mvarkit import (
     SimulationConfig,
     SingularComponentError,
     component_log_densities,
-    component_residual,
     e_step,
     em_fit,
     log_likelihood,
@@ -25,8 +24,9 @@ from mvarkit import (
     simulate,
 )
 from mvarkit import estimation
-from mvarkit.estimation import _canonicalize, _lockstep_em, _m_kernel
-from mvarkit.model import _Design, stacked_coefficients
+from mvarkit.estimation import _canonicalize, _lockstep_em, _m_kernel, _retirements
+from mvarkit.model import (_Design, _e_kernel, _nan_errstate, gaussian_log_densities,
+                           stacked_coefficients, stacked_residuals)
 from conftest import make_ref_params, permuted, random_stable_params
 from oracles import naive_responsibilities, wls_explicit
 
@@ -417,6 +417,30 @@ def plain_em_winner(series, spec, seed, n_starts, max_iter=500, tol=1e-8):
     return next(value for value in finals if top - value <= tol)
 
 
+def assert_solo_contract(design, tau0, outcomes, max_iter=500, tol=1e-8):
+    """Check a lockstep batch against each of its starts run alone.
+
+    A start that is not retired ends exactly as alone. A retired start stopped
+    at a checkpoint iteration 2, 4, 8, ... on a prefix of its solo trace, and
+    names a lower-index start whose log-likelihood was at least its own there.
+    """
+    for j, out in enumerate(outcomes):
+        alone = _lockstep_em(design, tau0[j:j + 1], max_iter, tol)[0]
+        assert alone.duplicate_of is None
+        if out.duplicate_of is None:
+            assert alone.trace == out.trace and str(alone.error) == str(out.error)
+            assert (alone.iterations, alone.converged) == (out.iterations, out.converged)
+            if alone.error is None:
+                for field in ("pi", "coef", "omega", "tau"):
+                    assert np.array_equal(getattr(alone, field), getattr(out, field))
+            continue
+        it, q = out.iterations, out.duplicate_of
+        assert it >= 2 and it & (it - 1) == 0 and q < j
+        assert out.error is None and not out.converged
+        assert len(out.trace) == it + 1 and out.trace == alone.trace[:it + 1]
+        assert outcomes[q].trace[it] >= out.trace[it]
+
+
 class TestLockstep:
     @pytest.mark.parametrize("case", ["mvar_2_11_m3", "mvar_3_210_m2", "var_1_m3"])
     def test_matches_public_step_loops(self, case, ref_params, ref_data):
@@ -458,13 +482,10 @@ class TestLockstep:
         design = _Design(ref_data, spec)
         tau0 = dirichlet_starts(spec, ref_data.n - spec.p, 4, 5)
         together = _lockstep_em(design, tau0, 500, 1e-8)
+        assert_solo_contract(design, tau0, together)
+        assert 0 < sum(out.duplicate_of is not None for out in together) < 4
         pairs = _lockstep_em(design, tau0[[3, 1]], 500, 1e-8)
-        for j in range(5):
-            alone = _lockstep_em(design, tau0[j:j + 1], 500, 1e-8)[0]
-            assert alone.trace == together[j].trace
-            for field in ("pi", "coef", "omega", "tau"):
-                assert np.array_equal(getattr(alone, field), getattr(together[j], field))
-        assert pairs[0].trace == together[3].trace and pairs[1].trace == together[1].trace
+        assert_solo_contract(design, tau0[[3, 1]], pairs)
 
     def test_failing_starts_leave_the_batch(self, ref_params, ref_data):
         spec = ref_params.spec
@@ -478,9 +499,87 @@ class TestLockstep:
         assert outcomes[1].error.component == 1 and outcomes[1].trace == []
         assert isinstance(outcomes[2].error, ComponentCollapseError)
         assert outcomes[2].error.component == 0
-        for j in (0, 3):
-            assert outcomes[j].error is None and outcomes[j].converged
-            assert outcomes[j].trace == _lockstep_em(design, tau0[j:j + 1], 500, 1e-8)[0].trace
+        assert outcomes[0].error is None and outcomes[0].converged
+        assert outcomes[3].error is None and (outcomes[3].converged or outcomes[3].duplicate_of == 0)
+        assert_solo_contract(design, tau0, outcomes)
+
+    def test_starts_in_different_basins_both_run_to_the_end(self):
+        # Three clusters, two components: one basin merges the left pair, the other the
+        # right pair. Starts 0 and 1 are put in the two basins, starts 2 and 3 are blurred,
+        # relabelled copies of them, so each basin has a start trailing its first start.
+        rng = np.random.default_rng(5)
+        y = np.concatenate([rng.normal(-6, 1, 100), rng.normal(0, 1, 100), rng.normal(6, 1, 100)])
+        series, spec = SeriesMatrix(y[:, None]), ModelSpec(2, 1, (0, 0))
+        design = _Design(series, spec)
+        left, right = (y < 3.0).astype(float), (y < -3.0).astype(float)
+        tau0 = np.stack([[left, 1 - left], [right, 1 - right], [1 - left, left], [1 - right, right]])
+        tau0[2:] = 0.9 * tau0[2:] + 0.05
+        outcomes = _lockstep_em(design, tau0, 500, 1e-8)
+        assert [out.duplicate_of for out in outcomes] == [None, None, 0, 1]
+        assert outcomes[0].converged and outcomes[1].converged
+        assert outcomes[1].trace[-1] - outcomes[0].trace[-1] > 10.0
+        assert_solo_contract(design, tau0, outcomes)
+        for j in (2, 3):                      # each retired start's own run ends in its basin
+            alone = _lockstep_em(design, tau0[j:j + 1], 500, 1e-8)[0]
+            assert alone.trace[-1] == pytest.approx(outcomes[j - 2].trace[-1], abs=1e-6, rel=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_em_fit_equals_the_tie_rule_over_solo_runs(self, seed, ref_params, ref_data):
+        spec = ref_params.spec
+        design = _Design(ref_data, spec)
+        tau0 = dirichlet_starts(spec, ref_data.n - spec.p, seed, 10)
+        assert any(out.duplicate_of is not None for out in _lockstep_em(design, tau0, 500, 1e-8))
+        solo = [_lockstep_em(design, tau[None], 500, 1e-8)[0] for tau in tau0]
+        finished = [out for out in solo if out.error is None]
+        top = max(out.trace[-1] for out in finished)
+        best = next(out for out in finished if top - out.trace[-1] <= 1e-8)
+        params, tau = _canonicalize(spec, best.pi, best.coef, best.omega, best.tau.T)
+        report = em_fit(ref_data, spec, InitStrategy(n_starts=10, seed=seed))
+        assert report.loglik_trace.tolist() == best.trace
+        assert (report.iterations, report.converged) == (best.iterations, best.converged)
+        for name in ("pi", "theta0", "theta", "omega"):
+            assert np.array_equal(getattr(report.params, name), getattr(params, name))
+        assert np.array_equal(report.responsibilities.tau, tau)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_retirement_rule_ignores_affine_maps_and_labels(self, scale, ref_params, ref_data):
+        # Eight starts run alone for 15 iterations, then take one M-step and E-step
+        # together on Y, on a*Y + b, on permuted columns and with relabelled components.
+        spec = ref_params.spec
+        design = _Design(ref_data, spec)
+        tau = np.stack([_lockstep_em(design, tau0[None], 15, 0.0)[0].tau
+                        for tau0 in dirichlet_starts(spec, ref_data.n - spec.p, 0, 8)])
+
+        def retired(values, tau):
+            with _nan_errstate():
+                update = _m_kernel(_Design(SeriesMatrix(values), spec), tau)
+                log_dens = gaussian_log_densities(update.resid, update.chol)
+                loglik = _e_kernel(log_dens, np.log(update.pi), spec.p)[0]
+                return _retirements(update, loglik, list(range(len(tau))))
+
+        base = retired(ref_data.values, tau)
+        assert 0 < len(base) < 7
+        a, b = scale * np.array([1.0, -3.0, 0.2]), scale * np.array([5.0, -40.0, 2.0])
+        assert retired(ref_data.values * a + b, tau) == base
+        assert retired(ref_data.values[:, [2, 0, 1]] * scale, tau) == base
+        assert retired(ref_data.values * scale, tau[:, ::-1]) == base
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_lockstep_retires_alike_after_affine_maps(self, scale, ref_params, ref_data):
+        # Below 1e-3 the reference data's innovation variances approach the absolute
+        # COLLAPSE_EIGENVALUE and starts fail; the rule itself is checked there above.
+        spec = ref_params.spec
+        tau0 = dirichlet_starts(spec, ref_data.n - spec.p, 0, 8)
+
+        def decisions(values):
+            outcomes = _lockstep_em(_Design(SeriesMatrix(values), spec), tau0, 500, 1e-8)
+            return [(out.duplicate_of, out.iterations) for out in outcomes]
+
+        base = decisions(ref_data.values)
+        assert any(q is not None for q, _ in base)
+        a, b = scale * np.array([1.0, -3.0, 0.2]), scale * np.array([5.0, -40.0, 2.0])
+        assert decisions(ref_data.values * a + b) == base
+        assert decisions(ref_data.values[:, [2, 0, 1]] * scale) == base
 
     def test_fit_survives_collapsing_starts(self):
         # 25 identical values among 200 normal draws: starts 0, 1 and 5 collapse onto the
@@ -549,6 +648,11 @@ def _one_row_tau(params):
     return Responsibilities(np.full((1, params.spec.g), 1.0 / params.spec.g))
 
 
+def _residuals(params, series):
+    design = _Design(series, params.spec)
+    return stacked_residuals(stacked_coefficients(params), design.xt, design.yt)
+
+
 # Every entry point that puts a model on a series, as (params, series) -> result.
 SERIES_ENTRY_POINTS = {
     "log_likelihood": log_likelihood,
@@ -556,7 +660,7 @@ SERIES_ENTRY_POINTS = {
     "e_step": e_step,
     "m_step": lambda params, series: m_step(series, _one_row_tau(params), params.spec),
     "em_fit": lambda params, series: em_fit(series, params.spec, InitStrategy(1, 0), max_iter=1),
-    "component_residual": lambda params, series: component_residual(params, series, series.n - 1, 0),
+    "stacked_residuals": _residuals,
 }
 
 
@@ -567,9 +671,7 @@ class TestSeriesCheck:
             SERIES_ENTRY_POINTS[entry](ref_params, SeriesMatrix(ref_data.values[:, :2]))
         assert str(err.value) == "series dimension 2 does not match model dimension 3"
 
-    # component_residual is left out: on a short series no t is in range, and
-    # its TimeIndexError comes first
-    @pytest.mark.parametrize("entry", sorted(set(SERIES_ENTRY_POINTS) - {"component_residual"}))
+    @pytest.mark.parametrize("entry", sorted(SERIES_ENTRY_POINTS))
     def test_short_series_needs_p_plus_one_rows(self, entry, ref_params):
         with pytest.raises(ValueError, match=r"need at least p\+1=2 observations, got 1"):
             SERIES_ENTRY_POINTS[entry](ref_params, SeriesMatrix(np.zeros((1, 3))))

@@ -11,14 +11,12 @@ from mvarkit import (
     MvarParameters,
     NotPositiveDefiniteError,
     SeriesMatrix,
-    TimeIndexError,
     companion_matrices,
-    component_residual,
     em_fit,
     is_stable,
     log_likelihood,
 )
-from mvarkit.model import _lapack, _require_spd
+from mvarkit.model import _Design, _lapack, _require_spd, stacked_coefficients, stacked_residuals
 from conftest import REF_THETA1, make_ref_params, permuted, random_spd, random_stable_params
 from oracles import kron_spectral_radius, naive_log_likelihood, naive_residual
 
@@ -132,6 +130,12 @@ class TestValidation:
             s.values[0, 0] = 9.0
 
 
+def residuals(params, series):
+    """Residuals Y_t - x_t' B_k of every component at every scored row, shape (g, m, n-p)."""
+    design = _Design(series, params.spec)
+    return stacked_residuals(stacked_coefficients(params), design.xt, design.yt)
+
+
 class TestResidual:
     def test_zero_theta_returns_observation(self):
         params = MvarParameters.from_component_lists(
@@ -139,13 +143,13 @@ class TestResidual:
             [[np.zeros((2, 2))]], [np.eye(2)]
         )
         series = SeriesMatrix([[0.0, 0.0], [1.0, 2.0]])
-        assert np.allclose(component_residual(params, series, 1, 0), [1.0, 2.0])
+        assert np.allclose(residuals(params, series)[0, :, 0], [1.0, 2.0])   # t=1
 
     def test_scalar_ar_case(self):
         series = SeriesMatrix([[2.0], [3.0]])
-        e = component_residual(scalar_params(), series, 1, 0)
-        assert e.shape == (1,)
-        assert e[0] == pytest.approx(2.0, abs=1e-15)   # 3 - 0.5 * 2
+        e = residuals(scalar_params(), series)
+        assert e.shape == (1, 1, 1)
+        assert e[0, 0, 0] == pytest.approx(2.0, abs=1e-15)   # 3 - 0.5 * 2
 
     def test_matches_brute_force_oracle(self, ref_params, ref_path):
         rng = np.random.default_rng(31)
@@ -158,23 +162,25 @@ class TestResidual:
                 [random_spd(rng, m) for _ in range(g)])
             cases.append((params, SeriesMatrix(rng.normal(size=(40, m))), (params.spec.p, 17, 39)))
         for params, series, times in cases:
+            resid = residuals(params, series)
             for t in times:
                 for k, order in enumerate(params.spec.orders):
                     mats = [np.asarray(params.theta[k, i]) for i in range(order)]
                     expected = naive_residual(params.theta0[k], mats, series.values, t)
-                    got = component_residual(params, series, t, k)
-                    assert np.allclose(got, expected, atol=1e-14)
+                    assert np.allclose(resid[k, :, t - params.spec.p], expected, atol=1e-14)
 
     def test_index_and_dimension_errors(self, ref_params, ref_path):
-        with pytest.raises(TimeIndexError):
-            component_residual(ref_params, ref_path, 0, 0)      # t < p
-        with pytest.raises(TimeIndexError):
-            component_residual(ref_params, ref_path, ref_path.n, 0)
-        with pytest.raises(TimeIndexError):
-            component_residual(ref_params, ref_path, 5, 2)      # no such component
+        # one column per scored row t = p..n-1 and one block per component: no t < p,
+        # t >= n or k >= g; the first and last columns are the rows t = p and t = n-1
+        resid = residuals(ref_params, ref_path)
+        assert resid.shape == (ref_params.spec.g, ref_path.m, ref_path.n - ref_params.spec.p)
+        for t, column in ((ref_params.spec.p, 0), (ref_path.n - 1, -1)):
+            expected = naive_residual(ref_params.theta0[1], [ref_params.theta[1, 0]],
+                                      ref_path.values, t)
+            assert np.allclose(resid[1, :, column], expected, atol=1e-14)
         short = SeriesMatrix(np.zeros((10, 2)))
         with pytest.raises(DimensionError):
-            component_residual(ref_params, short, 5, 0)
+            residuals(ref_params, short)
 
     @given(delta=st.floats(-50, 50))
     @settings(deadline=None, derandomize=True)
@@ -182,9 +188,9 @@ class TestResidual:
         base = SeriesMatrix([[2.0], [3.0]])
         shifted = SeriesMatrix([[2.0], [3.0 + delta]])
         params = scalar_params()
-        e0 = component_residual(params, base, 1, 0)
-        e1 = component_residual(params, shifted, 1, 0)
-        assert e1[0] - e0[0] == pytest.approx(delta, abs=1e-9)
+        e0 = residuals(params, base)[0, 0, 0]
+        e1 = residuals(params, shifted)[0, 0, 0]
+        assert e1 - e0 == pytest.approx(delta, abs=1e-9)
 
 
 class TestLogLikelihood:

@@ -17,7 +17,7 @@ EXPORTS = [
     "PortfolioSolution", "PriceTable", "RNG_ALGORITHM", "Responsibilities", "RiskReport",
     "SeriesMatrix", "SimulationConfig", "SimulationResult", "SingularComponentError",
     "TimeIndexError", "acf_ccf", "companion_matrices", "compare", "component_log_densities",
-    "component_residual", "crps_mixture", "diagnostics", "e_step", "efficient_weights", "em_fit",
+    "crps_mixture", "diagnostics", "e_step", "efficient_weights", "em_fit",
     "estimation", "evaluate_holdout", "exceptions", "forecasting", "horizon_portfolio", "io",
     "is_stable", "load_model", "log_likelihood", "m_step", "markowitz_coefficients", "mixture_cdf",
     "mixture_moments", "mixture_pdf", "mixture_quantile", "model", "mvp_weights", "portfolio",

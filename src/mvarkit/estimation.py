@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp  # noqa: F401  unused, kept bound: bench/tracing.py wraps this name
 
 from .exceptions import (
     ComponentCollapseError,
@@ -74,6 +73,15 @@ from .model import (
 ROW_SUM_TOL = 1e-10
 COLLAPSE_EIGENVALUE = 1e-12
 RETIRE_REL = 1e-2
+
+
+def __getattr__(name):
+    # EM does not use scipy's logsumexp; the name resolves, on request only, for
+    # bench/tracing.py, which wraps it. ROADMAP item 4 deletes this shim.
+    if name == "logsumexp":
+        from scipy.special import logsumexp
+        return logsumexp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import hashlib
 import io as _stdio
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,10 +146,16 @@ def load_series(path, input_kind: str = "returns"):
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write-temp-then-rename so readers never observe a partial file."""
+    """Write-temp-then-rename so readers never observe a partial file.
+
+    The file gets the mode ``open(path, "w")`` would give a new file: 0o666
+    less the process umask.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # O_EXCL: never reuse an existing file or follow a link planted at the name
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -256,12 +261,15 @@ def synthetic_dates(n: int) -> list[str]:
 
 
 def format_series_csv(series: SeriesMatrix) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", *(f"y{i + 1}" for i in range(series.m))])
-    for date, row in zip(synthetic_dates(series.n), series.values):
-        writer.writerow([date, *(repr(float(v)) for v in row)])
-    return buf.getvalue()
+    """CSV text of a series under :func:`synthetic_dates`, one ``repr`` per value.
+
+    The rows are joined directly: no date, column name or float ``repr``
+    contains a comma, quote or newline, so ``csv.writer`` would quote nothing.
+    """
+    lines = [",".join(["date", *(f"y{i + 1}" for i in range(series.m))])]
+    lines += [",".join([date, *map(repr, row)])
+              for date, row in zip(synthetic_dates(series.n), series.values.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def write_series_csv(path, series: SeriesMatrix) -> None:

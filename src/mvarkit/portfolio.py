@@ -11,6 +11,15 @@ are applied via Cholesky solves, LAPACK's ``potrf`` and ``potrs`` called
 directly: explicit finiteness tests of the covariance and the mean stand in
 for scipy's ``check_finite`` passes. Explicit matrix inverses appear only in
 test oracles.
+
+scipy is imported on first use, as in :mod:`mvarkit.risk`: importing
+``scipy.linalg`` would cost every ``import mvarkit``, and simulating,
+fitting, forecasting and the diagnostics never solve a frontier. ``dpotrf``
+and ``dpotrs`` start as stubs; the first call of either imports
+``scipy.linalg.lapack`` and rebinds both module globals to scipy's own
+routines, so every later call runs exactly as a module-level import would.
+Threads racing on the first call are safe: the import lock imports scipy
+once, and each thread binds the same two objects.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .exceptions import DegenerateFrontierError, DimensionError, NotPositiveDefiniteError
 from .forecasting import MixtureNormalMV, mixture_moments, predictive_mixture
@@ -27,6 +35,24 @@ from .model import (ForecastOrigin, MvarParameters, _frozen, _require_finite, _r
 
 DEGENERATE_FRONTIER_TOL = 1e-12
 BUDGET_TOL = 1e-10
+
+
+def _bind_scipy_lapack() -> None:
+    """Rebind ``dpotrf`` and ``dpotrs`` to scipy's LAPACK wrappers (module docstring)."""
+    global dpotrf, dpotrs
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+
+def dpotrf(*args, **kwargs):
+    """LAPACK Cholesky factorisation; the first call binds scipy's ``dpotrf`` in its place."""
+    _bind_scipy_lapack()
+    return dpotrf(*args, **kwargs)
+
+
+def dpotrs(*args, **kwargs):
+    """LAPACK Cholesky solve; the first call binds scipy's ``dpotrs`` in its place."""
+    _bind_scipy_lapack()
+    return dpotrs(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -143,7 +169,7 @@ def _frontier(
     if m == 0:
         raise NotPositiveDefiniteError("an empty covariance has no frontier: c = 0")
     _require_finite(cov, "cov")
-    factor, info = lapack.dpotrf(cov, lower=1, clean=0)
+    factor, info = dpotrf(cov, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefiniteError(
             f"covariance is not positive definite: leading minor {info} is not positive"
@@ -152,7 +178,7 @@ def _frontier(
         raise ValueError(f"LAPACK potrf rejected its argument {-info}")
     _require_finite(mean, "mean")
     ones = np.ones(m)
-    sol, info = lapack.dpotrs(factor, np.array([ones, mean]).T, lower=1)
+    sol, info = dpotrs(factor, np.array([ones, mean]).T, lower=1)
     if info != 0:
         raise ValueError(f"LAPACK potrs rejected its argument {-info}")
     x, y = sol[:, 0], sol[:, 1]          # Omega^-1 1, Omega^-1 mu

@@ -7,6 +7,15 @@ conditional mean below that threshold (closed-form Gaussian partial
 expectations, no simulation). The standard normal CDF is scipy's erf-based
 ``ndtr`` (relative error below 1e-15), shared by every routine here.
 
+scipy is imported on first use, not with this module: importing
+``scipy.special`` costs more than the rest of ``import mvarkit`` together,
+and simulating, fitting, forecasting and the diagnostics never need it.
+``ndtr`` and ``ndtri`` start as stubs; the first call of either imports
+``scipy.special`` and rebinds both module globals to scipy's own ufuncs, so
+every later call runs exactly as a module-level import would. Threads racing
+on the first call are safe: the import lock imports scipy once, and each
+thread binds the same two objects.
+
 Quantiles come from a bracket and a safeguarded Newton iteration. The bracket
 spans every component's mean +/- 10 sd and is widened by doubling steps until
 the CDF straddles q. Newton steps on the CDF and density, both evaluated from
@@ -34,13 +43,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .exceptions import BracketError
 from .portfolio import MixtureNormal1D, scalar_mixture_moments
 
 QUANTILE_CDF_TOL = 1e-10
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _bind_scipy_special() -> None:
+    """Rebind ``ndtr`` and ``ndtri`` to scipy's ufuncs (module docstring)."""
+    global ndtr, ndtri
+    from scipy.special import ndtr, ndtri
+
+
+def ndtr(x):
+    """Standard normal CDF; the first call binds scipy's ``ndtr`` in its place."""
+    _bind_scipy_special()
+    return ndtr(x)
+
+
+def ndtri(q):
+    """Standard normal quantile; the first call binds scipy's ``ndtri`` in its place."""
+    _bind_scipy_special()
+    return ndtri(q)
 
 
 def _require_alpha(alpha: float) -> None:

@@ -105,11 +105,12 @@ def _run_steps(params: MvarParameters, history: np.ndarray, draws, out: np.ndarr
     cand = np.empty((n_paths, g * m))
     # row i*g + k of rows_of_cand is path i's draw from component k
     rows_of_cand = cand.reshape(-1, m)
+    take = rows_of_cand.take   # the method, not np.take: no fromnumeric wrapper per step
     for step, (rows, eps) in enumerate(draws):
         x_eps[...] = eps
         np.matmul(x, w, out=cand)
         new = out[step]
-        np.take(rows_of_cand, rows, axis=0, out=new, mode="clip")
+        take(rows, axis=0, out=new, mode="clip")
         if p > 0:   # the new draw becomes lag 1, the oldest lag drops out
             older[...] = newer
             lag1[...] = new

@@ -1,3 +1,4 @@
+import csv
 import io as stdio
 import json
 import os
@@ -119,6 +120,23 @@ class TestCsvReader:
         text = mio.format_series_csv(series)
         _, _, values, _ = self.read(text)
         assert np.array_equal(values, series.values)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_series_csv_bytes_equal_csv_writer(self, m, n):
+        """The joined rows equal ``csv.writer`` with ``repr(float(v))`` cells, byte for byte."""
+        special = [-0.0, 5e-324, 0.1, 1e16, 1e300, -1e300, 1e-300]
+        rng = np.random.default_rng(100 * m + n)
+        cells = np.concatenate([special, rng.normal(size=n * m)])
+        values = rng.permutation(np.resize(cells, n * m)).reshape(n, m)
+        if n == 1:   # one row cannot hold every special value; cycle them over the columns
+            values[0] = np.resize(special, m)
+        buf = stdio.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["date", *(f"y{i + 1}" for i in range(m))])
+        for date, row in zip(mio.synthetic_dates(n), values):
+            writer.writerow([date, *(repr(float(v)) for v in row)])
+        assert mio.format_series_csv(SeriesMatrix(values)) == buf.getvalue()
 
 
 class TestModelFile:
@@ -244,6 +262,24 @@ class TestAtomicWrite:
         assert target.read_text() == "payload"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.txt"]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                             ids=["umask022", "umask077", "umask002"])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        """Written files get ``0o666 & ~umask``, as ``open(path, "w")`` gives, not a temp file's 0600."""
+        series = SeriesMatrix(np.ones((3, 2)))
+        writers = {"text": lambda path: mio.atomic_write_text(path, "payload"),
+                   "series": lambda path: mio.write_series_csv(path, series),
+                   "model": lambda path: mio.save_model(path, mio.ModelFile(make_ref_params(), {}))}
+        old = os.umask(umask)
+        try:
+            for name, write in writers.items():
+                write(tmp_path / name)
+        finally:
+            os.umask(old)
+        assert {name: (tmp_path / name).stat().st_mode & 0o777 for name in writers} == \
+            dict.fromkeys(writers, mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
 
     def test_timestamp_honors_pinned_epoch(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")

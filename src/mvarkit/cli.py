@@ -9,8 +9,6 @@ not converge (output still written).
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _stdio
 import json
 import sys
 
@@ -31,10 +29,6 @@ from .simulation import RNG_ALGORITHM, SimulationConfig, simulate
 def _say(args, *parts) -> None:
     if not args.quiet:
         print(*parts)
-
-
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def parse_spec_flag(text: str, m: int) -> ModelSpec:
@@ -78,7 +72,7 @@ def cmd_simulate(args) -> int:
     config_path = str(args.out)
     config_path = config_path[: -len(".csv")] + ".json" if config_path.endswith(".csv") \
         else config_path + ".json"
-    mio.atomic_write_text(config_path, _json_dump(sidecar))
+    mio.atomic_write_text(config_path, mio.format_json(sidecar))
     _say(args, f"wrote {result.series.n} x {result.series.m} path to {args.out}")
     _say(args, f"wrote simulation config to {config_path}")
     return 0
@@ -201,7 +195,7 @@ def cmd_forecast(args) -> int:
             "mean": mom.mean.tolist(),
             "cov": mom.cov.tolist(),
         }
-    mio.atomic_write_text(args.out, _json_dump(payload))
+    mio.atomic_write_text(args.out, mio.format_json(payload))
     _say(args, f"horizon {args.horizon} conditional mean: "
                f"{np.round(np.asarray(payload['mean']), 6).tolist()}")
     _say(args, f"wrote forecast to {args.out}")
@@ -224,7 +218,7 @@ def cmd_portfolio(args) -> int:
         "sd": sol.sd,
         "mixture": mio.mixture1d_to_dict(return_mix),
     }
-    mio.atomic_write_text(args.out, _json_dump(payload))
+    mio.atomic_write_text(args.out, mio.format_json(payload))
     if args.grid_out:
         mio.atomic_write_text(args.grid_out, mio.format_density_csv(return_mix))
         _say(args, f"wrote density grid to {args.grid_out}")
@@ -250,7 +244,7 @@ def cmd_risk(args) -> int:
         "loss_var": report.loss_var,
         "loss_es": report.loss_es,
     }
-    mio.atomic_write_text(args.out, _json_dump(out))
+    mio.atomic_write_text(args.out, mio.format_json(out))
     _say(args, f"VaR at {args.alpha:.0%}: {report.var:.6f} "
                f"(loss magnitude {report.loss_var:.6f})")
     _say(args, f"ES  at {args.alpha:.0%}: {report.es:.6f} "
@@ -276,7 +270,7 @@ def cmd_compare(args) -> int:
         "origin_time": report.origin_time,
         "rows": [vars(r) for r in report.rows],
     }
-    mio.atomic_write_text(args.out, _json_dump(payload))
+    mio.atomic_write_text(args.out, mio.format_json(payload))
     _say(args, f"{'model':<18} {'h':>2} {'mean':>10} {'sd':>10} {'VaR':>10} "
                f"{'ES':>10} {'CRPS':>10} {'realized':>10}")
     failed = 0
@@ -296,16 +290,11 @@ def cmd_compare(args) -> int:
 def cmd_acf(args) -> int:
     series = _load_series(args)
     table = acf_ccf(series, args.max_lag)
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lag", "series_i", "series_j", "correlation", "band"])
-    for lag in table.lags:
-        for i in range(series.m):
-            for j in range(series.m):
-                writer.writerow([int(lag), i + 1, j + 1,
-                                 repr(float(table.values[lag, i, j])),
-                                 repr(table.band)])
-    mio.atomic_write_text(args.out, buf.getvalue())
+    header = ["lag", "series_i", "series_j", "correlation", "band"]
+    rows = ([str(int(lag)), str(i + 1), str(j + 1), repr(float(table.values[lag, i, j])),
+             repr(table.band)]
+            for lag in table.lags for i in range(series.m) for j in range(series.m))
+    mio.atomic_write_text(args.out, mio.format_csv(header, rows))
     _say(args, f"wrote correlations up to lag {args.max_lag} to {args.out} "
                f"(white-noise band +/-{table.band:.4f})")
     return 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import datetime
 import hashlib
-import io as _stdio
 import json
 import os
 from dataclasses import dataclass
@@ -241,8 +240,13 @@ def model_from_dict(d: dict) -> ModelFile:
     return ModelFile(params=params, provenance=dict(d.get("provenance", {})), format_version=version)
 
 
+def format_json(payload: dict) -> str:
+    """JSON text of every document the package writes: two-space indent, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def save_model(path, mf: ModelFile) -> None:
-    atomic_write_text(path, json.dumps(model_to_dict(mf), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, format_json(model_to_dict(mf)))
 
 
 def load_model(path) -> ModelFile:
@@ -260,16 +264,22 @@ def synthetic_dates(n: int) -> list[str]:
     return [(base + datetime.timedelta(days=i)).isoformat() for i in range(n)]
 
 
-def format_series_csv(series: SeriesMatrix) -> str:
-    """CSV text of a series under :func:`synthetic_dates`, one ``repr`` per value.
+def format_csv(header, rows) -> str:
+    """CSV text of a header and rows of string cells, one line each, every line ending in a newline.
 
-    The rows are joined directly: no date, column name or float ``repr``
-    contains a comma, quote or newline, so ``csv.writer`` would quote nothing.
+    The rows are joined directly: every cell the package writes is a date, a
+    column name, an integer or a float ``repr``, and none of those contains a
+    comma, quote or newline, so ``csv.writer`` would quote nothing. ``rows``
+    may be a generator; each row is joined as it comes.
     """
-    lines = [",".join(["date", *(f"y{i + 1}" for i in range(series.m))])]
-    lines += [",".join([date, *map(repr, row)])
-              for date, row in zip(synthetic_dates(series.n), series.values.tolist())]
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def format_series_csv(series: SeriesMatrix) -> str:
+    """CSV text of a series under :func:`synthetic_dates`, one ``repr`` per value."""
+    rows = zip(synthetic_dates(series.n), series.values.tolist())
+    return format_csv(["date", *(f"y{i + 1}" for i in range(series.m))],
+                      ([date, *map(repr, row)] for date, row in rows))
 
 
 def write_series_csv(path, series: SeriesMatrix) -> None:
@@ -309,9 +319,4 @@ def density_grid(mix: MixtureNormal1D):
 
 def format_density_csv(mix: MixtureNormal1D) -> str:
     x, dens = density_grid(mix)
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "density"])
-    for xi, di in zip(x, dens):
-        writer.writerow([repr(float(xi)), repr(float(di))])
-    return buf.getvalue()
+    return format_csv(["x", "density"], zip(map(repr, x.tolist()), map(repr, dens.tolist())))

@@ -167,12 +167,13 @@ def _require_spd(covs: np.ndarray, label: str) -> np.ndarray:
     """Lower Cholesky factors of the finite stack ``covs`` (..., m, m), which must pass
     :func:`_require_symmetric`, from the ``_lapack`` gufunc that EM's M-step uses. The first
     matrix whose factor comes back NaN raises :class:`NotPositiveDefiniteError`, named by
-    ``label.format(i)``; an empty stack passes."""
+    ``label.format(i)``; an empty stack passes. The matrices are searched only when some
+    factor has a NaN."""
     _require_symmetric(covs, label)
     with _nan_errstate():
         chol = _lapack.cholesky_lo(covs)
-    failed = np.isnan(chol).any(axis=(-2, -1))
-    if failed.any():
+    if np.count_nonzero(np.isnan(chol)):
+        failed = np.isnan(chol).any(axis=(-2, -1))
         raise NotPositiveDefiniteError(
             f"{label.format(int(np.argmax(failed)))} is not positive definite")
     return chol
@@ -286,15 +287,6 @@ class MvarParameters:
     def cholesky_factors(self) -> np.ndarray:
         """Lower Cholesky factors of the innovation covariances, shape (g, m, m)."""
         return self._chol
-
-    def allclose(self, other: "MvarParameters", atol: float = 0.0) -> bool:
-        return (
-            self.spec == other.spec
-            and np.allclose(self.pi, other.pi, rtol=0, atol=atol)
-            and np.allclose(self.theta0, other.theta0, rtol=0, atol=atol)
-            and np.allclose(self.theta, other.theta, rtol=0, atol=atol)
-            and np.allclose(self.omega, other.omega, rtol=0, atol=atol)
-        )
 
 
 @dataclass(frozen=True)

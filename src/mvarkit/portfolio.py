@@ -6,20 +6,11 @@ exact projections of the predictive law. Minimum-variance and efficient
 weights come from the classical two-fund frontier applied to the conditional
 moments, with short selling allowed. :func:`horizon_portfolio` is the one
 path from a model and an origin to a portfolio: predictive mixture, its
-moments, the Markowitz solve, then the projection. All covariance inverses
-are applied via Cholesky solves, LAPACK's ``potrf`` and ``potrs`` called
-directly: explicit finiteness tests of the covariance and the mean stand in
-for scipy's ``check_finite`` passes. Explicit matrix inverses appear only in
-test oracles.
-
-scipy is imported on first use, as in :mod:`mvarkit.risk`: importing
-``scipy.linalg`` would cost every ``import mvarkit``, and simulating,
-fitting, forecasting and the diagnostics never solve a frontier. ``dpotrf``
-and ``dpotrs`` start as stubs; the first call of either imports
-``scipy.linalg.lapack`` and rebinds both module globals to scipy's own
-routines, so every later call runs exactly as a module-level import would.
-Threads racing on the first call are safe: the import lock imports scipy
-once, and each thread binds the same two objects.
+moments, the Markowitz solve, then the projection. The covariance is checked
+and factored by ``model._require_spd``, the one symmetry-plus-Cholesky test
+every value type uses, and ``Omega^-1`` is applied through the inverse of
+that triangular factor, as in :func:`mvarkit.model.gaussian_log_densities`;
+the covariance itself is never inverted.
 """
 
 from __future__ import annotations
@@ -30,29 +21,12 @@ import numpy as np
 
 from .exceptions import DegenerateFrontierError, DimensionError, NotPositiveDefiniteError
 from .forecasting import MixtureNormalMV, mixture_moments, predictive_mixture
-from .model import (ForecastOrigin, MvarParameters, _frozen, _require_finite, _require_positive,
-                    _require_shape, _require_weights)
+from .model import (ForecastOrigin, MvarParameters, _frozen, _lapack, _nan_errstate,
+                    _require_finite, _require_positive, _require_shape, _require_spd,
+                    _require_weights)
 
 DEGENERATE_FRONTIER_TOL = 1e-12
 BUDGET_TOL = 1e-10
-
-
-def _bind_scipy_lapack() -> None:
-    """Rebind ``dpotrf`` and ``dpotrs`` to scipy's LAPACK wrappers (module docstring)."""
-    global dpotrf, dpotrs
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-
-def dpotrf(*args, **kwargs):
-    """LAPACK Cholesky factorisation; the first call binds scipy's ``dpotrf`` in its place."""
-    _bind_scipy_lapack()
-    return dpotrf(*args, **kwargs)
-
-
-def dpotrs(*args, **kwargs):
-    """LAPACK Cholesky solve; the first call binds scipy's ``dpotrs`` in its place."""
-    _bind_scipy_lapack()
-    return dpotrs(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -161,26 +135,19 @@ def _frontier(
 
     Raises ``ValueError`` for a non-finite mean or covariance,
     :class:`DimensionError` for mismatched shapes and
-    :class:`NotPositiveDefiniteError` when the factorisation fails.
+    :class:`NotPositiveDefiniteError` for a covariance that is not symmetric,
+    not positive definite or empty (``c = 0``).
     """
     _require_shape(mean, ("m",), "mean")
     m = mean.shape[0]
     _require_shape(cov, (m, m), "cov")
-    if m == 0:
-        raise NotPositiveDefiniteError("an empty covariance has no frontier: c = 0")
     _require_finite(cov, "cov")
-    factor, info = dpotrf(cov, lower=1, clean=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(
-            f"covariance is not positive definite: leading minor {info} is not positive"
-        )
-    if info < 0:
-        raise ValueError(f"LAPACK potrf rejected its argument {-info}")
+    chol = _require_spd(cov, "covariance")
     _require_finite(mean, "mean")
     ones = np.ones(m)
-    sol, info = dpotrs(factor, np.array([ones, mean]).T, lower=1)
-    if info != 0:
-        raise ValueError(f"LAPACK potrs rejected its argument {-info}")
+    with _nan_errstate():
+        inv_chol = _lapack.inv(chol)
+        sol = inv_chol.T @ (inv_chol @ np.array([ones, mean]).T)
     x, y = sol[:, 0], sol[:, 1]          # Omega^-1 1, Omega^-1 mu
     a = float(ones @ y)
     b = float(mean @ y)

@@ -124,6 +124,13 @@ def permuted(params: MvarParameters, order) -> MvarParameters:
                           theta=params.theta[order], omega=params.omega[order])
 
 
+def params_allclose(a: MvarParameters, b: MvarParameters, atol: float = 0.0) -> bool:
+    """Same spec, and every parameter array of ``b`` within ``atol`` of ``a``'s, entry by entry."""
+    return a.spec == b.spec and all(
+        np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=atol)
+        for name in ("pi", "theta0", "theta", "omega"))
+
+
 def random_spd(rng: np.random.Generator, m: int, jitter: float = 0.3) -> np.ndarray:
     a = rng.normal(size=(m, m))
     return a @ a.T + (jitter + rng.uniform(0.0, 0.5)) * np.eye(m)

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 
 from mvarkit import (DataFormatError, ModelFileError, ModelSpec, MvarParameters, SeriesMatrix,
                      returns_from_prices)
-from mvarkit import io as mio
+from mvarkit import cli, io as mio
+from mvarkit.diagnostics import acf_ccf
 from conftest import make_portfolio_mixture, make_ref_params
+
+
+def csv_writer_text(rows) -> str:
+    """The oracle: what ``csv.writer`` writes for ``rows``, each line ending in a newline."""
+    buf = stdio.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 class TestReturns:
@@ -131,12 +139,27 @@ class TestCsvReader:
         values = rng.permutation(np.resize(cells, n * m)).reshape(n, m)
         if n == 1:   # one row cannot hold every special value; cycle them over the columns
             values[0] = np.resize(special, m)
-        buf = stdio.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["date", *(f"y{i + 1}" for i in range(m))])
-        for date, row in zip(mio.synthetic_dates(n), values):
-            writer.writerow([date, *(repr(float(v)) for v in row)])
-        assert mio.format_series_csv(SeriesMatrix(values)) == buf.getvalue()
+        rows = [["date", *(f"y{i + 1}" for i in range(m))]]
+        rows += [[date, *(repr(float(v)) for v in row)]
+                 for date, row in zip(mio.synthetic_dates(n), values)]
+        assert mio.format_series_csv(SeriesMatrix(values)) == csv_writer_text(rows)
+
+    def test_density_csv_bytes_equal_csv_writer(self):
+        mix = make_portfolio_mixture()
+        x, dens = mio.density_grid(mix)
+        rows = [["x", "density"], *([repr(float(xi)), repr(float(di))] for xi, di in zip(x, dens))]
+        assert mio.format_density_csv(mix) == csv_writer_text(rows)
+
+    def test_acf_csv_bytes_equal_csv_writer(self, tmp_path):
+        series = SeriesMatrix(np.random.default_rng(7).normal(size=(40, 3)))
+        mio.write_series_csv(tmp_path / "s.csv", series)
+        assert cli.main(["acf", "--data", str(tmp_path / "s.csv"), "--max-lag", "4",
+                         "--out", str(tmp_path / "acf.csv"), "--quiet"]) == 0
+        table = acf_ccf(series, 4)
+        rows = [["lag", "series_i", "series_j", "correlation", "band"]]
+        rows += [[int(lag), i + 1, j + 1, repr(float(table.values[lag, i, j])), repr(table.band)]
+                 for lag in table.lags for i in range(3) for j in range(3)]
+        assert (tmp_path / "acf.csv").read_bytes().decode() == csv_writer_text(rows)
 
 
 class TestModelFile:

@@ -195,6 +195,17 @@ class TestFrontierErrors:
         with pytest.raises(NotPositiveDefiniteError):
             call(self.MEAN, cov)
 
+    def test_asymmetric_cov(self, call):
+        # a Cholesky factorisation reads one triangle; the other must not be ignored
+        cov = self.COV.copy()
+        cov[0, 1] += 0.5
+        with pytest.raises(NotPositiveDefiniteError, match="not symmetric"):
+            call(self.MEAN, cov)
+
+    def test_empty_cov(self, call):
+        with pytest.raises(NotPositiveDefiniteError):
+            call(np.zeros(0), np.zeros((0, 0)))
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4)])
     def test_shape_mismatch(self, call, shape):
         with pytest.raises(DimensionError):
